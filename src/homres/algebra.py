@@ -66,7 +66,9 @@ class Algebra:
     def multiply(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=np.int64) % self.p
         v = np.asarray(v, dtype=np.int64) % self.p
-        return np.einsum("i,j,ijk->k", u, v, self.mult) % self.p
+        # reduce after each contraction: one triple product can reach p^3
+        uv = np.einsum("i,ijk->jk", u, self.mult) % self.p
+        return (v @ uv) % self.p
 
     def basis_label(self, i: int) -> str:
         return self.labels[i] if self.labels else f"b{i}"

@@ -16,6 +16,7 @@ from . import linalg
 from .algebra import Algebra, same_algebra
 from .errors import InvalidInput, InternalError, NeedsFiniteInjdim, NotAGenerator
 from .modules import (
+    HomSpace,
     Module,
     ModuleMap,
     direct_sum,
@@ -64,11 +65,12 @@ def right_approximation(x: Module, c: AddCategory) -> Approximation:
     """
     if not same_algebra(x.algebra, c.algebra):
         raise InvalidInput("module and add-category live over different algebras")
+    homs = [(m, hom_basis(m, x)) for m in c.summands]
     pieces: List[Module] = []
     piece_homs: List[ModuleMap] = []
     blocks = []
-    for m in c.summands:
-        for h in hom_basis(m, x):
+    for m, basis in homs:
+        for h in basis:
             pieces.append(m)
             piece_homs.append(h)
             blocks.append(h.matrix)
@@ -79,8 +81,8 @@ def right_approximation(x: Module, c: AddCategory) -> Approximation:
         source = direct_sum([], algebra=x.algebra).module
         matrix = linalg.zeros(x.dim, 0)
     f = ModuleMap(source, x, matrix)
-    for m in c.summands:
-        for h in hom_basis(m, x):
+    for _, basis in homs:
+        for h in basis:
             if _factor_through(h, f) is None:
                 raise InternalError("approximation lifting contract failed")
     return Approximation(f, pieces, piece_homs)
@@ -89,17 +91,15 @@ def right_approximation(x: Module, c: AddCategory) -> Approximation:
 def _factor_through(h: ModuleMap, f: ModuleMap) -> Optional[ModuleMap]:
     """g with f ∘ g = h, or None; g is searched inside Hom(h.source, f.source)."""
     p = h.p
-    basis = hom_basis(h.source, f.source)
-    if not basis:
+    space = HomSpace(h.source, f.source)
+    if not space:
         return None if np.any(h.matrix) else ModuleMap(
             h.source, f.source, linalg.zeros(f.source.dim, h.source.dim))
-    cols = np.stack([(f.matrix @ g.matrix).reshape(-1) % p for g in basis], axis=1)
+    cols = ((f.matrix @ space.stacked) % p).reshape(len(space), -1).T
     sol = linalg.solve_linear(cols, h.matrix.reshape(-1), p)
     if sol is None:
         return None
-    mat = np.einsum("c,cab->ab", sol.reshape(-1),
-                    np.stack([g.matrix for g in basis])) % p
-    return ModuleMap(h.source, f.source, mat)
+    return ModuleMap(h.source, f.source, space.combine(sol))
 
 
 @dataclass
@@ -133,20 +133,22 @@ def addM_resolution(x: Module, c: AddCategory, length: int) -> Resolution:
     """
     if length < 0:
         raise InvalidInput("resolution length must be >= 0")
-    if add_membership(x, c):
+    member = add_membership(x, c)
+    if member:
         return Resolution(x, [x], [identity_map(x)], "addM", True)
-    approx = right_approximation(x, c)
+    approx = member.approximation
     if linalg.rank(approx.map.matrix, x.p) != x.dim:
         raise NotAGenerator("right approximation is not surjective")
     terms = [approx.map.source]
     maps = [approx.map]
     syz, incl = map_kernel(approx.map)
     for _ in range(length):
-        if add_membership(syz, c):
+        member = add_membership(syz, c)
+        if member:
             terms.append(syz)
             maps.append(incl)
             return Resolution(x, terms, maps, "addM", True)
-        approx = right_approximation(syz, c)
+        approx = member.approximation
         if linalg.rank(approx.map.matrix, syz.p) != syz.dim:
             raise NotAGenerator("right approximation of a kernel is not surjective")
         terms.append(approx.map.source)

@@ -21,11 +21,10 @@ from .algebra import Algebra, same_algebra
 from .approx import AddCategory, addM_resolution, add_membership, _factor_through
 from .errors import HypothesesNotSatisfied, InternalError, InvalidInput
 from .modules import (
+    HomSpace,
     Module,
     ModuleMap,
-    coords_in_basis,
     direct_sum,
-    hom_basis,
     identity_map,
     module_image,
     same_module,
@@ -196,23 +195,15 @@ def _hom_complex_of(m: Module, x: Complex) -> Complex:
 
     Represented over a 1-dimensional algebra so complex machinery is reusable.
     """
-    p = m.p
-    triv = _trivial_algebra(p)
-    bases = {i: hom_basis(m, x.term(i)) for i in range(x.lo, x.hi + 1)}
+    triv = _trivial_algebra(m.p)
+    spaces = {i: HomSpace(m, x.term(i)) for i in range(x.lo, x.hi + 1)}
     terms = []
     for i in range(x.lo, x.hi + 1):
-        d = len(bases[i])
+        d = len(spaces[i])
         terms.append(Module(triv, d, np.stack([linalg.identity(d)])))
     diffs = []
     for i in range(x.lo, x.hi):
-        mat = linalg.zeros(len(bases[i + 1]), len(bases[i]))
-        for c, phi in enumerate(bases[i]):
-            comp = ModuleMap(m, x.term(i + 1),
-                             linalg.mat_mul(x.diff(i).matrix, phi.matrix, p))
-            coords = coords_in_basis(comp, bases[i + 1])
-            if coords is None:
-                raise InternalError("postcomposition escaped the Hom basis")
-            mat[:, c] = coords
+        mat = spaces[i + 1].coords(x.diff(i).matrix @ spaces[i].stacked).T
         diffs.append(ModuleMap(terms[i - x.lo], terms[i + 1 - x.lo], mat))
     return Complex(triv, x.lo, terms, diffs)
 
@@ -252,42 +243,32 @@ def homotopy_hom_dim(x: Complex, y: Complex, n: int) -> int:
     p = x.algebra.p
 
     def hom_layer(m: int):
-        return {i: hom_basis(x.term(i), y.term(i + m))
+        return {i: HomSpace(x.term(i), y.term(i + m))
                 for i in range(x.lo, x.hi + 1)}
 
     def delta_matrix(m: int, lower, upper):
-        rows = sum(len(b) for b in upper.values())
-        cols = sum(len(b) for b in lower.values())
-        mat = linalg.zeros(rows, cols)
-        row_off = {}
-        pos = 0
+        row_off, col_off = {}, {}
+        rows = cols = 0
         for i in sorted(upper):
-            row_off[i] = pos
-            pos += len(upper[i])
-        col = 0
+            row_off[i] = rows
+            rows += len(upper[i])
+        for i in sorted(lower):
+            col_off[i] = cols
+            cols += len(lower[i])
+        mat = linalg.zeros(rows, cols)
         sign = 1 if m % 2 == 0 else -1
         for i in sorted(lower):
-            for f in lower[i]:
-                # d_Y^{i+m} o f : X^i -> Y^{i+m+1}, lands in the i block
-                t1 = linalg.mat_mul(y.diff(i + m).matrix, f.matrix, p)
-                if upper.get(i):
-                    comp = ModuleMap(x.term(i), y.term(i + m + 1), t1)
-                    coords = coords_in_basis(comp, upper[i])
-                    if coords is None:
-                        raise InternalError("Hom-complex block escaped its basis")
-                    mat[row_off[i]:row_off[i] + len(upper[i]), col] = coords
-                # -(-1)^m f o d_X^{i-1}: X^{i-1} -> Y^{i+m}, lands in block i-1
-                if upper.get(i - 1):
-                    t2 = (-sign * linalg.mat_mul(f.matrix, x.diff(i - 1).matrix, p)) % p
-                    comp = ModuleMap(x.term(i - 1), y.term(i + m), t2)
-                    coords = coords_in_basis(comp, upper[i - 1])
-                    if coords is None:
-                        raise InternalError("Hom-complex block escaped its basis")
-                    mat[row_off[i - 1]:row_off[i - 1] + len(upper[i - 1]), col] = (
-                        mat[row_off[i - 1]:row_off[i - 1] + len(upper[i - 1]), col]
-                        + coords) % p
-                col += 1
-        return mat
+            cs = slice(col_off[i], col_off[i] + len(lower[i]))
+            # d_Y^{i+m} o f : X^i -> Y^{i+m+1}, lands in the i block
+            up = upper[i]
+            mat[row_off[i]:row_off[i] + len(up), cs] = up.coords(
+                y.diff(i + m).matrix @ lower[i].stacked).T
+            # -(-1)^m f o d_X^{i-1}: X^{i-1} -> Y^{i+m}, lands in block i-1
+            if i - 1 in upper:
+                up = upper[i - 1]
+                mat[row_off[i - 1]:row_off[i - 1] + len(up), cs] += up.coords(
+                    -sign * lower[i].stacked @ x.diff(i - 1).matrix).T
+        return mat % p
 
     layer_prev = hom_layer(n - 1)
     layer_n = hom_layer(n)
@@ -389,6 +370,40 @@ def _c_resolve_stalk(m: Module, degree: int, c: AddCategory, cut: int) -> CResol
     return CResolution(cx, phi, safe_lo, res.complete)
 
 
+def _solve_joint(unknowns: Dict[Tuple[str, int], HomSpace], equations, p: int):
+    """One linear solve for maps X_key, each unknown in its Hom space.
+
+    An equation (terms, rhs) reads sum of left @ X_key @ right == rhs over
+    its terms (key, left, right); a None factor is the identity.  Returns
+    {key: matrix} (free coordinates set to 0), or None if inconsistent.
+    """
+    offsets, pos = {}, 0
+    for key, space in unknowns.items():
+        offsets[key] = pos
+        pos += len(space)
+    nrows = sum(rhs.size for _, rhs in equations)
+    system = linalg.zeros(nrows, pos)
+    target = np.zeros(nrows, dtype=np.int64)
+    r = 0
+    for terms, rhs in equations:
+        for key, left, right in terms:
+            space = unknowns[key]
+            vals = space.stacked
+            if left is not None:
+                vals = (left @ vals) % p
+            if right is not None:
+                vals = (vals @ right) % p
+            cols = slice(offsets[key], offsets[key] + len(space))
+            system[r:r + rhs.size, cols] += vals.reshape(len(space), rhs.size).T
+        target[r:r + rhs.size] = rhs.reshape(-1)
+        r += rhs.size
+    sol = linalg.solve_linear(system % p, target, p)
+    if sol is None:
+        return None
+    return {key: space.combine(sol[offsets[key]:offsets[key] + len(space)])
+            for key, space in unknowns.items()}
+
+
 def _lift_through(u: ChainMap, r1: CResolution, r2: CResolution):
     """f: C1 -> C2 chain map and homotopy h with φ2 f - u φ1 = d_{X2} h + h d_{C1}.
 
@@ -400,76 +415,27 @@ def _lift_through(u: ChainMap, r1: CResolution, r2: CResolution):
     p = c1.algebra.p
     degrees = list(range(min(c1.lo, c2.lo, x2.lo) - 1,
                          max(c1.hi, c2.hi, x2.hi) + 2))
-    f_bases = {i: hom_basis(c1.term(i), c2.term(i)) for i in degrees}
-    h_bases = {i: hom_basis(c1.term(i), x2.term(i - 1)) for i in degrees}
-    offsets = {}
-    pos = 0
-    for i in degrees:
-        offsets[("f", i)] = pos
-        pos += len(f_bases[i])
-    for i in degrees:
-        offsets[("h", i)] = pos
-        pos += len(h_bases[i])
-    ncols = pos
-    rows = []
-    rhs = []
-
-    def add_equation(entries, target_mat):
-        """entries: list of (kind, degree, coefficient_matrix_fn) meaning the
-        equation's left side is sum over basis elements b of var * fn(b)."""
-        nvals = target_mat.size
-        block = linalg.zeros(nvals, ncols)
-        for kind, i, fn in entries:
-            basis = (f_bases if kind == "f" else h_bases)[i]
-            off = offsets[(kind, i)]
-            for k, b in enumerate(basis):
-                block[:, off + k] = fn(b.matrix).reshape(-1) % p
-        rows.append(block)
-        rhs.append(target_mat.reshape(-1) % p)
-
+    unknowns = {("f", i): HomSpace(c1.term(i), c2.term(i)) for i in degrees}
+    unknowns.update({("h", i): HomSpace(c1.term(i), x2.term(i - 1)) for i in degrees})
+    equations = []
     for i in degrees[:-1]:
+        d1 = c1.diff(i).matrix
         # chain condition: f^{i+1} d1^i - d2^i f^i = 0
-        d1 = c1.diff(i)
-        d2 = c2.diff(i)
-        if c2.term(i + 1).dim * c1.term(i).dim:
-            add_equation(
-                [("f", i + 1, lambda b, d1=d1: linalg.mat_mul(b, d1.matrix, p)),
-                 ("f", i, lambda b, d2=d2: (-linalg.mat_mul(d2.matrix, b, p)) % p)],
-                linalg.zeros(c2.term(i + 1).dim, c1.term(i).dim))
+        equations.append(([(("f", i + 1), None, d1),
+                           (("f", i), -c2.diff(i).matrix, None)],
+                          linalg.zeros(c2.term(i + 1).dim, c1.term(i).dim)))
         # homotopy: φ2^i f^i - d^{i-1} h^i - h^{i+1} d1^i = u^i φ1^i
-        phi2 = r2.map.component(i)
-        dxlow = x2.diff(i - 1)
-        target = linalg.mat_mul(u.component(i).matrix, r1.map.component(i).matrix, p)
-        if x2.term(i).dim * c1.term(i).dim or np.any(target):
-            add_equation(
-                [("f", i, lambda b, phi2=phi2: linalg.mat_mul(phi2.matrix, b, p)),
-                 ("h", i, lambda b, dxlow=dxlow: (-linalg.mat_mul(dxlow.matrix, b, p)) % p),
-                 ("h", i + 1, lambda b, d1=c1.diff(i): (-linalg.mat_mul(b, d1.matrix, p)) % p)],
-                target)
-    if not rows:
-        return (ChainMap(c1, c2, {}), {})
-    system = np.vstack(rows)
-    sol = linalg.solve_linear(system, np.concatenate(rhs), p)
+        equations.append(([(("f", i), r2.map.component(i).matrix, None),
+                           (("h", i), -x2.diff(i - 1).matrix, None),
+                           (("h", i + 1), None, -d1)],
+                          linalg.mat_mul(u.component(i).matrix,
+                                         r1.map.component(i).matrix, p)))
+    sol = _solve_joint(unknowns, equations, p)
     if sol is None:
         return None
-    sol = sol.reshape(-1)
-    f_comps = {}
-    h_comps = {}
-    for i in degrees:
-        if f_bases[i]:
-            off = offsets[("f", i)]
-            coeffs = sol[off:off + len(f_bases[i])]
-            mat = np.einsum("c,cab->ab", coeffs,
-                            np.stack([b.matrix for b in f_bases[i]])) % p
-            if np.any(mat):
-                f_comps[i] = ModuleMap(c1.term(i), c2.term(i), mat)
-        if h_bases[i]:
-            off = offsets[("h", i)]
-            coeffs = sol[off:off + len(h_bases[i])]
-            mat = np.einsum("c,cab->ab", coeffs,
-                            np.stack([b.matrix for b in h_bases[i]])) % p
-            if np.any(mat):
-                h_comps[i] = mat
+    f_comps = {i: ModuleMap(c1.term(i), c2.term(i), sol["f", i])
+               for i in degrees if np.any(sol["f", i])}
+    h_comps = {i: sol["h", i] for i in degrees if np.any(sol["h", i])}
     return (ChainMap(c1, c2, f_comps), h_comps)
 
 
@@ -530,67 +496,27 @@ def homotopy_retraction(t: ChainMap, injectives_ok: AddCategory):
                 raise HypothesesNotSatisfied(
                     "a term of the source is not relatively injective")
     degrees = list(range(min(i_cx.lo, c_cx.lo) - 1, max(i_cx.hi, c_cx.hi) + 2))
-    s_bases = {i: hom_basis(c_cx.term(i), i_cx.term(i)) for i in degrees}
-    h_bases = {i: hom_basis(i_cx.term(i), i_cx.term(i - 1)) for i in degrees}
-    offsets = {}
-    pos = 0
-    for i in degrees:
-        offsets[("s", i)] = pos
-        pos += len(s_bases[i])
-    for i in degrees:
-        offsets[("h", i)] = pos
-        pos += len(h_bases[i])
-    ncols = pos
-    rows, rhs = [], []
-
-    def add_equation(entries, target_mat):
-        block = linalg.zeros(target_mat.size, ncols)
-        for kind, i, fn in entries:
-            basis = (s_bases if kind == "s" else h_bases)[i]
-            off = offsets[(kind, i)]
-            for k, b in enumerate(basis):
-                block[:, off + k] = fn(b.matrix).reshape(-1) % p
-        rows.append(block)
-        rhs.append(target_mat.reshape(-1) % p)
-
+    unknowns = {("s", i): HomSpace(c_cx.term(i), i_cx.term(i)) for i in degrees}
+    unknowns.update({("h", i): HomSpace(i_cx.term(i), i_cx.term(i - 1)) for i in degrees})
+    equations = []
     for i in degrees[:-1]:
+        di = i_cx.diff(i).matrix
         # chain condition: s^{i+1} d_C^i - d_I^i s^i = 0
-        dc, di = c_cx.diff(i), i_cx.diff(i)
-        if i_cx.term(i + 1).dim * c_cx.term(i).dim:
-            add_equation(
-                [("s", i + 1, lambda b, dc=dc: linalg.mat_mul(b, dc.matrix, p)),
-                 ("s", i, lambda b, di=di: (-linalg.mat_mul(di.matrix, b, p)) % p)],
-                linalg.zeros(i_cx.term(i + 1).dim, c_cx.term(i).dim))
+        equations.append(([(("s", i + 1), None, c_cx.diff(i).matrix),
+                           (("s", i), -di, None)],
+                          linalg.zeros(i_cx.term(i + 1).dim, c_cx.term(i).dim)))
         # retraction up to homotopy: s^i t^i - d^{i-1} h^i - h^{i+1} d^i = id
-        ti = t.component(i)
-        dlow = i_cx.diff(i - 1)
-        dhere = i_cx.diff(i)
-        if i_cx.term(i).dim:
-            add_equation(
-                [("s", i, lambda b, ti=ti: linalg.mat_mul(b, ti.matrix, p)),
-                 ("h", i, lambda b, dlow=dlow: (-linalg.mat_mul(dlow.matrix, b, p)) % p),
-                 ("h", i + 1, lambda b, dhere=dhere: (-linalg.mat_mul(b, dhere.matrix, p)) % p)],
-                linalg.identity(i_cx.term(i).dim))
-    if not rows:
-        return (ChainMap(c_cx, i_cx, {}), Homotopy(i_cx, i_cx, {}))
-    sol = linalg.solve_linear(np.vstack(rows), np.concatenate(rhs), p)
+        equations.append(([(("s", i), None, t.component(i).matrix),
+                           (("h", i), -i_cx.diff(i - 1).matrix, None),
+                           (("h", i + 1), None, -di)],
+                          linalg.identity(i_cx.term(i).dim)))
+    sol = _solve_joint(unknowns, equations, p)
     if sol is None:
         return None
-    sol = sol.reshape(-1)
-    s_comps, h_comps = {}, {}
-    for i in degrees:
-        if s_bases[i]:
-            off = offsets[("s", i)]
-            mat = np.einsum("c,cab->ab", sol[off:off + len(s_bases[i])],
-                            np.stack([b.matrix for b in s_bases[i]])) % p
-            if np.any(mat):
-                s_comps[i] = ModuleMap(c_cx.term(i), i_cx.term(i), mat)
-        if h_bases[i]:
-            off = offsets[("h", i)]
-            mat = np.einsum("c,cab->ab", sol[off:off + len(h_bases[i])],
-                            np.stack([b.matrix for b in h_bases[i]])) % p
-            if np.any(mat):
-                h_comps[i] = ModuleMap(i_cx.term(i), i_cx.term(i - 1), mat)
+    s_comps = {i: ModuleMap(c_cx.term(i), i_cx.term(i), sol["s", i])
+               for i in degrees if np.any(sol["s", i])}
+    h_comps = {i: ModuleMap(i_cx.term(i), i_cx.term(i - 1), sol["h", i])
+               for i in degrees if np.any(sol["h", i])}
     return (ChainMap(c_cx, i_cx, s_comps), Homotopy(i_cx, i_cx, h_comps))
 
 

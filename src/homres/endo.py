@@ -10,7 +10,6 @@ characteristic, where no generic radical algorithm is available.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -19,15 +18,14 @@ import numpy as np
 from . import linalg
 from .algebra import Algebra, same_algebra, validate_algebra, validate_radical
 from .approx import AddCategory, add_membership, perp_membership
-from .errors import HypothesesNotSatisfied, InternalError, InvalidInput, SearchExhausted
+from .errors import HypothesesNotSatisfied, InvalidInput, SearchExhausted
 from .modules import (
     EXHAUSTIVE_CAP,
+    HomSpace,
     Module,
     ModuleMap,
-    coords_in_basis,
+    _nonzero_vectors,
     direct_sum,
-    hom_basis,
-    identity_map,
     is_isomorphic,
     same_module,
 )
@@ -41,66 +39,48 @@ class EndoContext:
     basis_maps: List[ModuleMap]  # basis of End(M); index i <-> basis element b_i
     summands: Optional[List[Module]] = None
 
-    def map_to_coords(self, f: ModuleMap) -> np.ndarray:
-        coords = coords_in_basis(f, self.basis_maps)
-        if coords is None:
-            raise InternalError("endomorphism escaped its own basis")
-        return coords
 
-
-def _singular_hom_subspace(x: Module, y: Module) -> np.ndarray:
-    """Rows (in Hom-basis coordinates) spanning the non-isomorphisms x -> y.
+def _singular_hom_subspace(space: HomSpace) -> np.ndarray:
+    """Rows (in Hom-basis coordinates) spanning the non-isomorphisms in
+    space = Hom(x, y).
 
     Valid when x and y are indecomposable (local endomorphism rings), where
     the non-isomorphisms form a subspace; found by exhaustive enumeration.
     """
-    basis = hom_basis(x, y)
-    h = len(basis)
-    if h == 0 or x.dim != y.dim:
+    h, dy, dx = space.stacked.shape
+    if h == 0 or dy != dx:
         return linalg.identity(h)  # nothing invertible: the whole space
-    p = x.p
+    p = space.p
     if p ** h > EXHAUSTIVE_CAP:
         raise SearchExhausted(
             "radical block needs exhaustive enumeration beyond the cap")
-    stacked = np.stack([b.matrix for b in basis])
-    singular = []
-    for coeffs in itertools.product(range(p), repeat=h):
-        vec = np.array(coeffs, dtype=np.int64)
-        mat = np.einsum("c,cab->ab", vec, stacked) % p
-        if not linalg.is_invertible(mat, p):
-            singular.append(vec)
-    rows, piv = linalg.rref(np.array(singular, dtype=np.int64), p)
+    singular = [c for c in _nonzero_vectors(h, p)
+                if not linalg.is_invertible(space.combine(c), p)]
+    rows, piv = linalg.rref(np.array(singular, dtype=np.int64).reshape(-1, h), p)
     return rows[:len(piv)]
 
 
-def _radical_from_summands(m_sum, basis_maps: List[ModuleMap], p: int) -> np.ndarray:
+def _radical_from_summands(m_sum, end: HomSpace) -> np.ndarray:
     """Radical of End(⊕ M_i) in basis coordinates, from the block structure."""
     rows = []
     n = len(m_sum.injections)
     summands = [inj.source for inj in m_sum.injections]
     for i in range(n):
         for j in range(n):
-            hij = hom_basis(summands[i], summands[j])
+            hij = HomSpace(summands[i], summands[j])
             if not hij:
                 continue
             if summands[i].dim == summands[j].dim and is_isomorphic(
                     summands[i], summands[j]) is True:
-                block_rows = _singular_hom_subspace(summands[i], summands[j])
+                block_rows = _singular_hom_subspace(hij)
             else:
                 block_rows = linalg.identity(len(hij))
-            stacked = np.stack([h.matrix for h in hij])
             for r in block_rows:
-                mat = np.einsum("c,cab->ab", r, stacked) % p
-                f = ModuleMap(m_sum.module, m_sum.module,
-                              (m_sum.injections[j].matrix @ mat
-                               @ m_sum.projections[i].matrix) % p)
-                coords = coords_in_basis(f, basis_maps)
-                if coords is None:
-                    raise InternalError("radical block escaped the End basis")
-                rows.append(coords)
+                rows.append(end.coords(m_sum.injections[j].matrix @ hij.combine(r)
+                                       @ m_sum.projections[i].matrix))
     if not rows:
-        return linalg.zeros(0, len(basis_maps))
-    red, piv = linalg.rref(np.array(rows, dtype=np.int64), p)
+        return linalg.zeros(0, len(end))
+    red, piv = linalg.rref(np.array(rows, dtype=np.int64), end.p)
     return red[:len(piv)]
 
 
@@ -115,60 +95,39 @@ def endomorphism_algebra(m: Module,
     if m.dim == 0:
         raise InvalidInput("endomorphism algebra of the zero module is not supported")
     p = m.p
-    basis_maps = hom_basis(m, m)
-    h = len(basis_maps)
-    mult = np.zeros((h, h, h), dtype=np.int64)
-    for i in range(h):
-        for j in range(h):
-            comp = linalg.mat_mul(basis_maps[j].matrix, basis_maps[i].matrix, p)
-            coords = coords_in_basis(ModuleMap(m, m, comp), basis_maps)
-            if coords is None:
-                raise InternalError("composition escaped the End basis")
-            mult[i, j] = coords
-    unit = coords_in_basis(identity_map(m), basis_maps)
+    end = HomSpace(m, m)
+    # mult[i, j] = coordinates of f_j ∘ f_i
+    mult = end.coords(end.stacked[None, :] @ end.stacked[:, None])
+    unit = end.coords(linalg.identity(m.dim))
     radical = None
     if summands is not None:
         ds = direct_sum(summands)
         if not same_module(ds.module, m):
             raise InvalidInput("declared summands do not sum to the module on the nose")
-        radical = _radical_from_summands(ds, basis_maps, p)
-    b = Algebra(p=p, dim=h, mult=mult, unit=unit, radical=radical)
+        radical = _radical_from_summands(ds, end)
+    b = Algebra(p=p, dim=len(end), mult=mult, unit=unit, radical=radical)
     validate_algebra(b)
     if radical is not None:
         validate_radical(b, radical)
-    return EndoContext(m=m, b=b, basis_maps=basis_maps, summands=summands)
+    return EndoContext(m=m, b=b, basis_maps=end.basis, summands=summands)
 
 
 def hom_functor(ctx: EndoContext, x: Module) -> Module:
     """Hom_A(M, x) as a left B-module: b . φ = φ ∘ f_b (precomposition)."""
     if not same_algebra(x.algebra, ctx.m.algebra):
         raise InvalidInput("module lives over a different base algebra")
-    p = x.p
-    hx = hom_basis(ctx.m, x)
-    d = len(hx)
-    action = np.zeros((ctx.b.dim, d, d), dtype=np.int64)
-    for i, f in enumerate(ctx.basis_maps):
-        for c, phi in enumerate(hx):
-            comp = ModuleMap(ctx.m, x, linalg.mat_mul(phi.matrix, f.matrix, p))
-            coords = coords_in_basis(comp, hx)
-            if coords is None:
-                raise InternalError("precomposition escaped the Hom basis")
-            action[i][:, c] = coords
-    return Module(ctx.b, d, action)
+    hx = HomSpace(ctx.m, x)
+    ends = np.stack([f.matrix for f in ctx.basis_maps])
+    # action[i][:, c] = coordinates of phi_c ∘ f_i
+    action = hx.coords(hx.stacked[None, :] @ ends[:, None]).transpose(0, 2, 1)
+    return Module(ctx.b, len(hx), action)
 
 
 def hom_functor_map(ctx: EndoContext, f: ModuleMap) -> ModuleMap:
     """Hom_A(M, f): postcomposition, expressed in the chosen Hom bases."""
-    p = f.p
-    hx = hom_basis(ctx.m, f.source)
-    hy = hom_basis(ctx.m, f.target)
-    mat = linalg.zeros(len(hy), len(hx))
-    for c, phi in enumerate(hx):
-        comp = ModuleMap(ctx.m, f.target, linalg.mat_mul(f.matrix, phi.matrix, p))
-        coords = coords_in_basis(comp, hy)
-        if coords is None:
-            raise InternalError("postcomposition escaped the Hom basis")
-        mat[:, c] = coords
+    hx = HomSpace(ctx.m, f.source)
+    hy = HomSpace(ctx.m, f.target)
+    mat = hy.coords(f.matrix @ hx.stacked).T
     return ModuleMap(hom_functor(ctx, f.source), hom_functor(ctx, f.target), mat)
 
 

@@ -87,6 +87,15 @@ def _finite_injdim(t: Module, bound: int) -> int:
     return int(d)
 
 
+def _int_arg(args: dict, key: str, default: int, ptr: str) -> int:
+    value = args.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise WorkspaceError(f"{ptr}/{key}",
+                             f"expected an integer, got {value!r}") from None
+
+
 def run_task(ws: WorkspaceDocument, task: dict,
              bound: Optional[int] = None, seed: Optional[int] = None) -> dict:
     """Execute a single workspace task and return its report dictionary."""
@@ -98,7 +107,9 @@ def run_task(ws: WorkspaceDocument, task: dict,
         args["bound"] = bound
     if seed is not None:
         args["seed"] = seed
-    b = int(args.get("bound", DEFAULT_BOUND))
+    ptr = next((f"/tasks/{i}" for i, t in enumerate(ws.tasks) if t is task),
+               "/tasks")
+    b = _int_arg(args, "bound", DEFAULT_BOUND, ptr)
     out = {"cmd": cmd}
     if "name" in args:
         out["name"] = args["name"]
@@ -114,13 +125,13 @@ def run_task(ws: WorkspaceDocument, task: dict,
     elif cmd == "ext":
         x = ws.module(args.get("source", ""), "/tasks/source")
         y = ws.module(args.get("target", ""), "/tasks/target")
-        table = ext_dims(x, y, int(args.get("max_i", 4)))
+        table = ext_dims(x, y, _int_arg(args, "max_i", 4, ptr))
         out["dims"] = [int(d) for d in table.dims]
     elif cmd == "resolve":
         m = ws.module(args.get("module", ""), "/tasks/module")
-        res = projective_resolution(m, int(args.get("length", b)),
+        res = projective_resolution(m, _int_arg(args, "length", b, ptr),
                                     strategy=args.get("strategy", "evaluation"),
-                                    seed=int(args.get("seed", 0)))
+                                    seed=_int_arg(args, "seed", 0, ptr))
         out["terms"] = [t.dim for t in res.terms]
         out["complete"] = res.complete
         out["projdim"] = jsonable(proj_dim(m, b))
@@ -153,8 +164,8 @@ def run_task(ws: WorkspaceDocument, task: dict,
         cat = _category(ws, args.get("summands", []), "/tasks/summands")
         spots = [ws.module(n, "/tasks/spot_checks")
                  for n in args.get("spot_checks", [])]
-        rep = verify_theorem2(a, t, cat, int(args.get("r", 2)),
-                              bound=args.get("bound"),
+        rep = verify_theorem2(a, t, cat, _int_arg(args, "r", 2, ptr),
+                              bound=b if "bound" in args else None,
                               spot_check_modules=spots or None)
         out.update({
             "r": rep.r, "bound": rep.bound,
@@ -217,13 +228,13 @@ def run_task(ws: WorkspaceDocument, task: dict,
     elif cmd == "homdim":
         x = ws.complex(args.get("complex", ""), "/tasks/complex")
         y = ws.complex(args.get("complex2", ""), "/tasks/complex2")
-        out["n"] = int(args.get("n", 0))
+        out["n"] = _int_arg(args, "n", 0, ptr)
         out["dim"] = homotopy_hom_dim(x, y, out["n"])
     elif cmd == "cresolve":
         x = ws.complex(args.get("complex", ""), "/tasks/complex")
         cat = _category(ws, args.get("summands", []), "/tasks/summands",
                         generator=bool(args.get("generator", False)))
-        res = c_resolution(x, cat, int(args.get("depth", b)))
+        res = c_resolution(x, cat, _int_arg(args, "depth", b, ptr))
         q = res.complex.trim()
         out["lo"] = q.lo
         out["terms"] = [t.dim for t in q.terms]
@@ -261,8 +272,9 @@ def verification_suite(ws: WorkspaceDocument,
     a = ws.algebra(spec.get("algebra", ""), "/suite/algebra")
     t = ws.module(spec.get("t", ""), "/suite/t")
     cat = _category(ws, spec.get("summands", []), "/suite/summands")
-    r = int(spec.get("r", 2))
-    b = int(bound if bound is not None else spec.get("bound", DEFAULT_BOUND))
+    r = _int_arg(spec, "r", 2, "/suite")
+    b = int(bound) if bound is not None else _int_arg(spec, "bound", DEFAULT_BOUND,
+                                                      "/suite")
     checks = []
     dossier = {"p": ws.p, "r": r, "bound": b}
 

@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import InvalidInput
 
-# p is capped so that a dot product of ~2000 entries below p^2 fits in int64.
+# p <= 2^20 keeps each product below 2^40, so an int64 dot product is exact up
+# to a length of about 2^23 before it must be reduced mod p.
 MAX_MODULUS = 1 << 20
 
 

@@ -8,8 +8,9 @@ pivots, so every construction is bit-reproducible.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -151,13 +152,66 @@ def hom_basis(x: Module, y: Module) -> List[ModuleMap]:
 
 
 def coords_in_basis(f: ModuleMap, basis: Sequence[ModuleMap]) -> Optional[np.ndarray]:
-    """Coordinates of f in a spanning list of maps, or None if outside the span."""
+    """Coordinates of f in any spanning list of maps, or None if outside the span.
+
+    Solves a linear system; HomSpace.coords reads the same coordinates for a
+    hom_basis without elimination.
+    """
     p = f.p
     if not basis:
         return np.zeros(0, dtype=np.int64) if f.is_zero() else None
     cols = np.stack([b.matrix.reshape(-1) for b in basis], axis=1) % p
     sol = linalg.solve_linear(cols, f.matrix.reshape(-1), p)
     return None if sol is None else sol.reshape(-1)
+
+
+class HomSpace:
+    """Hom_A(x, y) with the basis of hom_basis(x, y), in the same order.
+
+    The basis rows are kernel_basis rows, which restricted to the rref free
+    columns form the identity: a map's coordinates are its entries at those
+    columns, read off without elimination.  A caller that already holds
+    hom_basis(x, y) passes it as basis.
+    """
+
+    def __init__(self, x: Module, y: Module,
+                 basis: Optional[List[ModuleMap]] = None):
+        self.p = x.p
+        self.basis = hom_basis(x, y) if basis is None else basis
+        self.stacked = np.array([b.matrix for b in self.basis], dtype=np.int64).reshape(
+            len(self.basis), y.dim, x.dim)
+        self._rows = self.stacked.reshape(len(self.basis), y.dim * x.dim)
+        # in a kernel_basis row the free column is the last nonzero entry
+        self._free = [int(np.flatnonzero(row)[-1]) for row in self._rows]
+
+    def __len__(self) -> int:
+        return len(self.basis)
+
+    def coords(self, matrices: np.ndarray) -> np.ndarray:
+        """Coordinates of a map, or of a stack (..., y.dim, x.dim) of maps.
+
+        Raises InternalError for a matrix outside Hom(x, y).
+        """
+        matrices = np.asarray(matrices, dtype=np.int64) % self.p
+        lead = matrices.shape[:-2]
+        vecs = matrices.reshape(int(np.prod(lead)), self._rows.shape[1])
+        coeffs = vecs[:, self._free]
+        if not np.array_equal((coeffs @ self._rows) % self.p, vecs):
+            raise InternalError("a map escaped its Hom basis")
+        return coeffs.reshape(lead + (len(self.basis),))
+
+    def combine(self, coeffs: np.ndarray) -> np.ndarray:
+        """Matrix of the map with the given coordinates."""
+        coeffs = np.asarray(coeffs, dtype=np.int64).reshape(-1)
+        return np.einsum("c,cab->ab", coeffs, self.stacked) % self.p
+
+
+def _nonzero_vectors(h: int, p: int) -> Iterator[np.ndarray]:
+    """Every nonzero vector of GF(p)^h in odometer order, coeffs[0] fastest."""
+    tuples = itertools.product(range(p), repeat=h)
+    next(tuples)  # the zero vector
+    for t in tuples:
+        yield np.array(t[::-1], dtype=np.int64)
 
 
 def is_isomorphic(x: Module, y: Module, seed: int = 0):
@@ -173,34 +227,21 @@ def is_isomorphic(x: Module, y: Module, seed: int = 0):
         return False
     if x.dim == 0:
         return True
-    basis = hom_basis(x, y)
-    if not basis:
+    space = HomSpace(x, y)
+    if not space:
         return False
     p = x.p
-    for b in basis:
+    for b in space.basis:
         if linalg.is_invertible(b.matrix, p):
             return True
-    h = len(basis)
-    stacked = np.stack([b.matrix for b in basis])
+    h = len(space)
     if p ** h <= EXHAUSTIVE_CAP:
-        coeffs = np.zeros(h, dtype=np.int64)
-        for _ in range(p ** h - 1):
-            k = 0
-            while True:
-                coeffs[k] += 1
-                if coeffs[k] < p:
-                    break
-                coeffs[k] = 0
-                k += 1
-            cand = np.einsum("c,cab->ab", coeffs, stacked) % p
-            if linalg.is_invertible(cand, p):
-                return True
-        return False
+        return any(linalg.is_invertible(space.combine(c), p)
+                   for c in _nonzero_vectors(h, p))
     rng = np.random.default_rng(seed)
     for _ in range(400):
         coeffs = rng.integers(0, p, size=h)
-        cand = np.einsum("c,cab->ab", coeffs, stacked) % p
-        if linalg.is_invertible(cand, p):
+        if linalg.is_invertible(space.combine(coeffs), p):
             return True
     return UNDECIDED
 
@@ -327,19 +368,9 @@ def _spin_is_simple(x: Module) -> bool:
         return True
     if p ** d > EXHAUSTIVE_CAP:
         raise SearchExhausted(f"simplicity check needs p^dim <= {EXHAUSTIVE_CAP}")
-    v = np.zeros(d, dtype=np.int64)
-    for _ in range(p ** d - 1):
-        k = 0
-        while True:
-            v[k] += 1
-            if v[k] < p:
-                break
-            v[k] = 0
-            k += 1
-        orbit = (x.action @ v) % p  # rows = b_i . v
-        if linalg.rank(orbit, p) < d:
-            return False
-    return True
+    # the rows of x.action @ v are the b_i . v
+    return all(linalg.rank((x.action @ v) % p, p) == d
+               for v in _nonzero_vectors(d, p))
 
 
 def _submodule_on_rows(x: Module, rows: np.ndarray) -> Module:
@@ -359,9 +390,8 @@ def _fitting_split(x: Module) -> Optional[Tuple[Module, Module]]:
     """Split x = ker(f^d) ⊕ im(f^d) for an endomorphism f that is neither
     nilpotent nor invertible; None if no such f is found in the search budget."""
     p, d = x.p, x.dim
-    basis = hom_basis(x, x)
-    h = len(basis)
-    stacked = np.stack([b.matrix for b in basis])
+    space = HomSpace(x, x)
+    h = len(space)
 
     def try_candidate(mat):
         power = linalg.mat_pow(mat, d, p)
@@ -373,28 +403,17 @@ def _fitting_split(x: Module) -> Optional[Tuple[Module, Module]]:
             return (_submodule_on_rows(x, ker_rows), _submodule_on_rows(x, im_rows))
         return None
 
-    for b in basis:
+    for b in space.basis:
         got = try_candidate(b.matrix)
         if got:
             return got
     if p ** h <= EXHAUSTIVE_CAP:
-        coeffs = np.zeros(h, dtype=np.int64)
-        for _ in range(p ** h - 1):
-            k = 0
-            while True:
-                coeffs[k] += 1
-                if coeffs[k] < p:
-                    break
-                coeffs[k] = 0
-                k += 1
-            got = try_candidate(np.einsum("c,cab->ab", coeffs, stacked) % p)
-            if got:
-                return got
-        return None
-    rng = np.random.default_rng(0)
-    for _ in range(500):
-        coeffs = rng.integers(0, p, size=h)
-        got = try_candidate(np.einsum("c,cab->ab", coeffs, stacked) % p)
+        candidates = _nonzero_vectors(h, p)
+    else:
+        rng = np.random.default_rng(0)
+        candidates = (rng.integers(0, p, size=h) for _ in range(500))
+    for coeffs in candidates:
+        got = try_candidate(space.combine(coeffs))
         if got:
             return got
     return None

@@ -21,9 +21,9 @@ from . import linalg
 from .algebra import Algebra
 from .errors import InternalError, InvalidInput
 from .modules import (
+    HomSpace,
     Module,
     ModuleMap,
-    coords_in_basis,
     direct_sum,
     hom_basis,
     identity_map,
@@ -185,20 +185,13 @@ class ExtTable:
 
 def _hom_complex_delta(res: Resolution, y: Module, i: int,
                        homs: dict) -> np.ndarray:
-    """Matrix of delta^i : Hom(T_i, y) -> Hom(T_{i+1}, y), f |-> f o d_{i+1}."""
-    p = y.p
-    hi = homs[i]
-    hj = homs[i + 1]
-    mat = linalg.zeros(len(hj), len(hi))
-    d = res.maps[i + 1]
-    for c, f in enumerate(hi):
-        comp = ModuleMap(res.terms[i + 1], y,
-                         linalg.mat_mul(f.matrix, d.matrix, p))
-        coords = coords_in_basis(comp, hj)
-        if coords is None:
-            raise InternalError("composite escaped the hom basis")
-        mat[:, c] = coords
-    return mat
+    """Matrix of delta^i : Hom(T_i, y) -> Hom(T_{i+1}, y), f |-> f o d_{i+1}.
+
+    homs[j] is hom_basis(T_j, y).
+    """
+    hi = HomSpace(res.terms[i], y, homs[i])
+    hj = HomSpace(res.terms[i + 1], y, homs[i + 1])
+    return hj.coords(hi.stacked @ res.maps[i + 1].matrix).T
 
 
 def ext_dims(x: Module, y: Module, max_i: int) -> ExtTable:

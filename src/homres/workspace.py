@@ -202,6 +202,9 @@ def parse_workspace(raw: dict) -> WorkspaceDocument:
         ws.complexes[name] = _build_complex(name, spec, ws)
     if not isinstance(ws.tasks, list):
         raise WorkspaceError("/tasks", "tasks must be a list")
+    for i, task in enumerate(ws.tasks):
+        if not isinstance(task, dict):
+            raise WorkspaceError(f"/tasks/{i}", "a task must be an object")
     return ws
 
 

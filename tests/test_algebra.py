@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homres import linalg
 from homres.algebra import (
@@ -175,3 +176,17 @@ def test_quiver_simple_actions():
     assert s0[0].tolist() == [[1]]
     assert s0[1].tolist() == [[0]]
     assert s0[2].tolist() == [[0]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 16), seed=st.integers(0, 2 ** 32 - 1))
+def test_multiply_matches_python_int_oracle_near_max_modulus(dim, seed):
+    p = 1048573  # the largest prime below linalg.MAX_MODULUS
+    rng = np.random.default_rng(seed)
+    mult = rng.integers(0, p, size=(dim, dim, dim))
+    u, v = rng.integers(0, p, size=(2, dim))
+    a = Algebra(p=p, dim=dim, mult=mult, unit=np.zeros(dim, dtype=np.int64))
+    m, uu, vv = mult.tolist(), u.tolist(), v.tolist()
+    want = [sum(uu[i] * vv[j] * m[i][j][k] for i in range(dim) for j in range(dim)) % p
+            for k in range(dim)]
+    assert a.multiply(u, v).tolist() == want

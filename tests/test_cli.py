@@ -84,3 +84,20 @@ def test_cli_suite_byte_identical(capsys):
     _, out1 = run_cli(capsys, "suite", "--workspace", KX2)
     _, out2 = run_cli(capsys, "suite", "--workspace", KX2)
     assert out1 == out2 and out1.endswith("\n")
+
+
+@pytest.mark.parametrize("tasks, pointer", [
+    ([{"cmd": "gldim", "algebra": "A", "bound": "abc"}], "/tasks/0/bound"),
+    (["gldim"], "/tasks/0"),
+])
+def test_cli_malformed_task_names_its_pointer(tmp_path, capsys, tasks, pointer):
+    with open(KX2, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["tasks"] = tasks
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "gldim", "--workspace", str(bad))
+    assert code == 2
+    body = json.loads(out)
+    assert body["status"] == "invalid-input"
+    assert body["reason"].startswith(pointer + ":")

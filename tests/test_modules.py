@@ -1,13 +1,17 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homres import linalg
 from homres.algebra import (
     Algebra, QuiverPresentation, from_quiver, opposite, same_algebra,
 )
-from homres.errors import InvalidInput
+from homres.errors import InternalError, InvalidInput
 from homres.modules import (
     UNDECIDED,
+    HomSpace,
     Module,
     ModuleMap,
     coords_in_basis,
@@ -26,6 +30,8 @@ from homres.modules import (
     zero_map,
     zero_module,
 )
+
+from homres.workspace import bundled_workspace_path, load_workspace
 
 from test_algebra import dual_numbers, truncated_cubic, two_vertex_line
 
@@ -249,3 +255,54 @@ def test_undecided_is_not_truthy():
     from homres.errors import SearchExhausted
     with pytest.raises(SearchExhausted):
         bool(UNDECIDED)
+
+
+@functools.lru_cache(maxsize=None)
+def _bundled_modules(name):
+    ws = load_workspace(bundled_workspace_path(name))
+    return ws.p, [ws.modules[n] for n in sorted(ws.modules)]
+
+
+def _random_conjugate(x, rng):
+    """x in a random basis: the action b -> g b g^-1 for an invertible g."""
+    p = x.p
+    while True:
+        g = rng.integers(0, p, size=(x.dim, x.dim))
+        ginv = linalg.inverse(g, p)
+        if ginv is not None:
+            return Module(x.algebra, x.dim, (g @ x.action @ ginv) % p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["kx2", "kx3", "a2-hereditary"]),
+       pick=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_hom_space_coords_match_solve(name, pick, seed):
+    p, mods = _bundled_modules(name)
+    rng = np.random.default_rng(seed)
+    x = _random_conjugate(mods[pick[0] % len(mods)], rng)
+    y = _random_conjugate(mods[pick[1] % len(mods)], rng)
+    space = HomSpace(x, y)
+    assert [b.matrix.tolist() for b in space.basis] == [
+        b.matrix.tolist() for b in hom_basis(x, y)]
+    coeffs = rng.integers(0, p, size=len(space))
+    f = space.combine(coeffs)
+    assert space.coords(f).tolist() == coeffs.tolist()
+    want = coords_in_basis(ModuleMap(x, y, f), space.basis)
+    assert space.coords(f).tolist() == want.reshape(-1).tolist()
+    assert np.array_equal(space.combine(space.coords(f)), f)
+    bump = rng.integers(0, p, size=(y.dim, x.dim))
+    outside = (f + bump) % p
+    try:
+        ModuleMap(x, y, outside)
+    except InvalidInput:
+        with pytest.raises(InternalError):
+            space.coords(outside)
+    else:
+        assert coords_in_basis(ModuleMap(x, y, outside), space.basis) is not None
+
+
+def test_nonzero_vectors_odometer_order():
+    from homres.modules import _nonzero_vectors
+    got = [v.tolist() for v in _nonzero_vectors(2, 3)]
+    assert got == [[1, 0], [2, 0], [0, 1], [1, 1], [2, 1], [0, 2], [1, 2], [2, 2]]
