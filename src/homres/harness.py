@@ -61,21 +61,40 @@ def jsonable(value):
     return value
 
 
-def _category(ws: WorkspaceDocument, names: List[str], ptr: str,
+def _names(spec: dict, key: str, ptr: str) -> List[str]:
+    names = spec.get(key, [])
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise WorkspaceError(f"{ptr}/{key}",
+                             f"expected a list of names, got {names!r}")
+    return names
+
+
+def _category(ws: WorkspaceDocument, spec: dict, ptr: str,
               generator: bool = False) -> AddCategory:
+    names = _names(spec, "summands", ptr)
     if not names:
-        raise WorkspaceError(ptr, "summand list must be nonempty")
-    return AddCategory([ws.module(n, ptr) for n in names], generator=generator)
+        raise WorkspaceError(f"{ptr}/summands", "summand list must be nonempty")
+    return AddCategory([ws.module(n, f"{ptr}/summands") for n in names],
+                       generator=generator)
 
 
-def _chain_map(ws: WorkspaceDocument, spec: dict, ptr: str) -> ChainMap:
+def _chain_map(ws: WorkspaceDocument, spec, ptr: str) -> ChainMap:
+    if not isinstance(spec, dict):
+        raise WorkspaceError(ptr, f"expected a chain map object, got {spec!r}")
     src = ws.complex(spec.get("source", ""), f"{ptr}/source")
     tgt = ws.complex(spec.get("target", ""), f"{ptr}/target")
+    components = spec.get("components", {})
+    if not isinstance(components, dict):
+        raise WorkspaceError(f"{ptr}/components",
+                             f"expected an object, got {components!r}")
     comps = {}
-    for key, mat in spec.get("components", {}).items():
-        i = int(key)
-        comps[i] = ModuleMap(src.term(i), tgt.term(i),
-                             np.asarray(mat, dtype=np.int64))
+    for key, mat in components.items():
+        try:
+            i = int(key)
+            comps[i] = ModuleMap(src.term(i), tgt.term(i),
+                                 np.asarray(mat, dtype=np.int64))
+        except (InvalidInput, TypeError, ValueError) as e:
+            raise WorkspaceError(f"{ptr}/components/{key}", str(e)) from None
     return ChainMap(src, tgt, comps)
 
 
@@ -88,12 +107,12 @@ def _finite_injdim(t: Module, bound: int) -> int:
 
 
 def _int_arg(args: dict, key: str, default: int, ptr: str) -> int:
+    """A JSON integer argument; strings, booleans and floats are refused."""
     value = args.get(key, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
+    if isinstance(value, bool) or not isinstance(value, int):
         raise WorkspaceError(f"{ptr}/{key}",
-                             f"expected an integer, got {value!r}") from None
+                             f"expected an integer, got {value!r}")
+    return value
 
 
 def run_task(ws: WorkspaceDocument, task: dict,
@@ -115,55 +134,63 @@ def run_task(ws: WorkspaceDocument, task: dict,
         out["name"] = args["name"]
 
     if cmd == "gldim":
-        a = ws.algebra(args.get("algebra", ""), "/tasks/algebra")
+        a = ws.algebra(args.get("algebra", ""), f"{ptr}/algebra")
         out["gldim"] = jsonable(gl_dim(a, b))
         out["bound"] = b
     elif cmd == "injdim":
-        m = ws.module(args.get("module", ""), "/tasks/module")
+        m = ws.module(args.get("module", ""), f"{ptr}/module")
         out["injdim"] = jsonable(inj_dim(m, b))
         out["bound"] = b
     elif cmd == "ext":
-        x = ws.module(args.get("source", ""), "/tasks/source")
-        y = ws.module(args.get("target", ""), "/tasks/target")
+        x = ws.module(args.get("source", ""), f"{ptr}/source")
+        y = ws.module(args.get("target", ""), f"{ptr}/target")
         table = ext_dims(x, y, _int_arg(args, "max_i", 4, ptr))
         out["dims"] = [int(d) for d in table.dims]
     elif cmd == "resolve":
-        m = ws.module(args.get("module", ""), "/tasks/module")
+        m = ws.module(args.get("module", ""), f"{ptr}/module")
         res = projective_resolution(m, _int_arg(args, "length", b, ptr),
                                     strategy=args.get("strategy", "evaluation"),
                                     seed=_int_arg(args, "seed", 0, ptr))
         out["terms"] = [t.dim for t in res.terms]
         out["complete"] = res.complete
-        out["projdim"] = jsonable(proj_dim(m, b))
+        # res stops at the first projective syzygy, and by Schanuel whether a
+        # syzygy is projective does not depend on the cover strategy: res
+        # decides proj_dim(m, b) unless it stopped short of b
+        if b >= 0 and res.complete:
+            projdim = res.length if res.length <= b else EXCEEDS_BOUND
+        elif b >= 0 and res.length >= b:
+            projdim = EXCEEDS_BOUND
+        else:
+            projdim = proj_dim(m, b)
+        out["projdim"] = jsonable(projdim)
     elif cmd == "approx":
-        m = ws.module(args.get("module", ""), "/tasks/module")
-        cat = _category(ws, args.get("summands", []), "/tasks/summands")
+        m = ws.module(args.get("module", ""), f"{ptr}/module")
+        cat = _category(ws, args, ptr)
         ap = right_approximation(m, cat)
         out["source_dim"] = ap.map.source.dim
         out["pieces"] = len(ap.pieces)
         out["surjective"] = bool(linalg.rank(ap.map.matrix, m.p) == m.dim)
     elif cmd == "addmem":
-        m = ws.module(args.get("module", ""), "/tasks/module")
-        cat = _category(ws, args.get("summands", []), "/tasks/summands")
+        m = ws.module(args.get("module", ""), f"{ptr}/module")
+        cat = _category(ws, args, ptr)
         out["member"] = bool(add_membership(m, cat))
     elif cmd == "perp":
-        x = ws.module(args.get("module", ""), "/tasks/module")
-        t = ws.module(args.get("t", ""), "/tasks/t")
+        x = ws.module(args.get("module", ""), f"{ptr}/module")
+        t = ws.module(args.get("t", ""), f"{ptr}/t")
         d = _finite_injdim(t, b)
         out["t_injdim"] = d
         out["member"] = bool(perp_membership(x, t, d))
     elif cmd == "endo":
-        names = args.get("summands", [])
-        cat = _category(ws, names, "/tasks/summands")
+        cat = _category(ws, args, ptr)
         ctx = endomorphism_algebra(cat.sum_module(), summands=cat.summands)
         out["dim_b"] = ctx.b.dim
         out["radical_rank"] = int(ctx.b.radical.shape[0])
     elif cmd == "verify-thm2":
-        a = ws.algebra(args.get("algebra", ""), "/tasks/algebra")
-        t = ws.module(args.get("t", ""), "/tasks/t")
-        cat = _category(ws, args.get("summands", []), "/tasks/summands")
-        spots = [ws.module(n, "/tasks/spot_checks")
-                 for n in args.get("spot_checks", [])]
+        a = ws.algebra(args.get("algebra", ""), f"{ptr}/algebra")
+        t = ws.module(args.get("t", ""), f"{ptr}/t")
+        cat = _category(ws, args, ptr)
+        spots = [ws.module(n, f"{ptr}/spot_checks")
+                 for n in _names(args, "spot_checks", ptr)]
         rep = verify_theorem2(a, t, cat, _int_arg(args, "r", 2, ptr),
                               bound=b if "bound" in args else None,
                               spot_check_modules=spots or None)
@@ -177,7 +204,7 @@ def run_task(ws: WorkspaceDocument, task: dict,
             "b_dim": rep.b_dim, "smooth": rep.smooth,
         })
     elif cmd == "gorenstein":
-        a = ws.algebra(args.get("algebra", ""), "/tasks/algebra")
+        a = ws.algebra(args.get("algebra", ""), f"{ptr}/algebra")
         rep = is_gorenstein(a, b)
         out.update({
             "left_injdim": jsonable(rep.left_injdim),
@@ -187,12 +214,12 @@ def run_task(ws: WorkspaceDocument, task: dict,
             "bound": b,
         })
     elif cmd == "gp":
-        m = ws.module(args.get("module", ""), "/tasks/module")
-        a = ws.algebra(args.get("algebra", ""), "/tasks/algebra")
+        m = ws.module(args.get("module", ""), f"{ptr}/module")
+        a = ws.algebra(args.get("algebra", ""), f"{ptr}/algebra")
         out["member"] = bool(gp_membership(m, a, b))
     elif cmd == "auslander":
-        a = ws.algebra(args.get("algebra", ""), "/tasks/algebra")
-        gp = [ws.module(n, "/tasks/gp_list") for n in args.get("gp_list", [])]
+        a = ws.algebra(args.get("algebra", ""), f"{ptr}/algebra")
+        gp = [ws.module(n, f"{ptr}/gp_list") for n in _names(args, "gp_list", ptr)]
         rep = relative_auslander(a, gp, b)
         out.update({
             "b_dim": rep.ctx.b.dim,
@@ -201,7 +228,7 @@ def run_task(ws: WorkspaceDocument, task: dict,
             "smooth": rep.smooth,
         })
     elif cmd == "cotilting":
-        m = ws.module(args.get("module", ""), "/tasks/module")
+        m = ws.module(args.get("module", ""), f"{ptr}/module")
         rep = cotilting_check(m, b)
         out.update({
             "injdim": jsonable(rep.injdim),
@@ -211,7 +238,7 @@ def run_task(ws: WorkspaceDocument, task: dict,
             "cotilting": rep.cotilting,
         })
     elif cmd == "cone":
-        f = _chain_map(ws, args.get("map", {}), "/tasks/map")
+        f = _chain_map(ws, args.get("map", {}), f"{ptr}/map")
         cone, _, _ = mapping_cone(f)
         cone = cone.trim()
         out["lo"] = cone.lo
@@ -219,21 +246,20 @@ def run_task(ws: WorkspaceDocument, task: dict,
         out["homology"] = {str(i): d for i, d in sorted(homology_dims(cone).items())}
         out["acyclic"] = is_acyclic(cone)
     elif cmd == "acyclic":
-        x = ws.complex(args.get("complex", ""), "/tasks/complex")
+        x = ws.complex(args.get("complex", ""), f"{ptr}/complex")
         out["acyclic"] = is_acyclic(x)
     elif cmd == "cacyclic":
-        x = ws.complex(args.get("complex", ""), "/tasks/complex")
-        cat = _category(ws, args.get("summands", []), "/tasks/summands")
+        x = ws.complex(args.get("complex", ""), f"{ptr}/complex")
+        cat = _category(ws, args, ptr)
         out["cacyclic"] = is_c_acyclic(x, cat)
     elif cmd == "homdim":
-        x = ws.complex(args.get("complex", ""), "/tasks/complex")
-        y = ws.complex(args.get("complex2", ""), "/tasks/complex2")
+        x = ws.complex(args.get("complex", ""), f"{ptr}/complex")
+        y = ws.complex(args.get("complex2", ""), f"{ptr}/complex2")
         out["n"] = _int_arg(args, "n", 0, ptr)
         out["dim"] = homotopy_hom_dim(x, y, out["n"])
     elif cmd == "cresolve":
-        x = ws.complex(args.get("complex", ""), "/tasks/complex")
-        cat = _category(ws, args.get("summands", []), "/tasks/summands",
-                        generator=bool(args.get("generator", False)))
+        x = ws.complex(args.get("complex", ""), f"{ptr}/complex")
+        cat = _category(ws, args, ptr, generator=bool(args.get("generator", False)))
         res = c_resolution(x, cat, _int_arg(args, "depth", b, ptr))
         q = res.complex.trim()
         out["lo"] = q.lo
@@ -241,13 +267,13 @@ def run_task(ws: WorkspaceDocument, task: dict,
         out["safe_lo"] = res.safe_lo
         out["complete"] = res.complete
     elif cmd == "perfect":
-        x = ws.complex(args.get("complex", ""), "/tasks/complex")
+        x = ws.complex(args.get("complex", ""), f"{ptr}/complex")
         rep = perfect_test(x, b)
         out["status"] = rep.status
         out["truncation_degree"] = rep.truncation_degree
     elif cmd == "retraction":
-        t = _chain_map(ws, args.get("map", {}), "/tasks/map")
-        cat = _category(ws, args.get("summands", []), "/tasks/summands")
+        t = _chain_map(ws, args.get("map", {}), f"{ptr}/map")
+        cat = _category(ws, args, ptr)
         out["found"] = homotopy_retraction(t, cat) is not None
     return out
 
@@ -271,7 +297,7 @@ def verification_suite(ws: WorkspaceDocument,
     spec = ws.suite
     a = ws.algebra(spec.get("algebra", ""), "/suite/algebra")
     t = ws.module(spec.get("t", ""), "/suite/t")
-    cat = _category(ws, spec.get("summands", []), "/suite/summands")
+    cat = _category(ws, spec, "/suite")
     r = _int_arg(spec, "r", 2, "/suite")
     b = int(bound) if bound is not None else _int_arg(spec, "bound", DEFAULT_BOUND,
                                                       "/suite")
@@ -285,7 +311,7 @@ def verification_suite(ws: WorkspaceDocument,
         checks.append({"name": "base-already-smooth", "ok": True})
 
     spots = [ws.module(n, "/suite/spot_checks")
-             for n in spec.get("spot_checks", [])]
+             for n in _names(spec, "spot_checks", "/suite")]
     try:
         rep = verify_theorem2(a, t, cat, r, bound=b,
                               spot_check_modules=spots or None)
@@ -316,7 +342,7 @@ def verification_suite(ws: WorkspaceDocument,
     }
     checks.append({"name": "gorenstein-within-bound", "ok": grep.gorenstein})
 
-    gp_names = spec.get("gp_list", [])
+    gp_names = _names(spec, "gp_list", "/suite")
     if grep.gorenstein and gp_names:
         gp = [ws.module(n, "/suite/gp_list") for n in gp_names]
         try:

@@ -3,10 +3,18 @@
 All matrices are numpy int64 arrays with entries reduced mod p.  Everything
 here is pure and deterministic; kernels and solutions are normalized from the
 reduced row-echelon form so repeated runs are bit-identical.
+
+Every elimination goes through ``rref``.  It clears a pivot column with one
+broadcast row update over all the rows that have a nonzero entry in that
+column, rather than one row at a time, and touches only the columns from the
+pivot rightwards.  Each updated entry is a - b*c with a, b, c < p, the same
+arithmetic as a row-by-row loop, so the result is bit-identical to it.
 """
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_left
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -14,10 +22,16 @@ import numpy as np
 from .errors import InvalidInput
 
 # p <= 2^20 keeps each product below 2^40, so an int64 dot product is exact up
-# to a length of about 2^23 before it must be reduced mod p.
+# to a length of about 2^23 before it must be reduced mod p; mat_mul checks
+# that length.
 MAX_MODULUS = 1 << 20
 
+_INT64_MAX = (1 << 63) - 1
+# the longest inner dimension that is exact for every supported modulus
+_SAFE_INNER = _INT64_MAX // (MAX_MODULUS - 1) ** 2
 
+
+@functools.lru_cache(maxsize=None)
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -30,14 +44,24 @@ def is_prime(p: int) -> bool:
 
 
 def check_modulus(p: int) -> None:
-    if not isinstance(p, (int, np.integer)) or not is_prime(int(p)):
+    if not isinstance(p, (int, np.integer)):
         raise InvalidInput(f"modulus {p!r} is not prime")
+    # the bound comes first: it keeps trial division short and the memo of
+    # is_prime small
     if p > MAX_MODULUS:
         raise InvalidInput(f"modulus {p} exceeds supported bound {MAX_MODULUS}")
+    if not is_prime(int(p)):
+        raise InvalidInput(f"modulus {p!r} is not prime")
 
 
 def as_matrix(entries, p: int, rows: Optional[int] = None, cols: Optional[int] = None) -> np.ndarray:
-    """Coerce to a validated 2-D int64 array reduced mod p."""
+    """Coerce to a validated 2-D int64 array reduced mod p (a new array)."""
+    return _int_matrix(entries, p, rows, cols) % p
+
+
+def _int_matrix(entries, p: int, rows: Optional[int] = None,
+                cols: Optional[int] = None) -> np.ndarray:
+    """as_matrix without the reduction mod p; may share memory with entries."""
     check_modulus(p)
     a = np.asarray(entries, dtype=np.int64)
     if a.ndim != 2:
@@ -46,7 +70,7 @@ def as_matrix(entries, p: int, rows: Optional[int] = None, cols: Optional[int] =
         raise InvalidInput(f"expected {rows} rows, got {a.shape[0]}")
     if cols is not None and a.shape[1] != cols:
         raise InvalidInput(f"expected {cols} cols, got {a.shape[1]}")
-    return a % p
+    return a
 
 
 def zeros(rows: int, cols: int) -> np.ndarray:
@@ -58,34 +82,55 @@ def identity(n: int) -> np.ndarray:
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) mod p for reduced a, b.
+
+    The int64 product is exact only while inner * (p-1)^2 < 2^63, so a longer
+    inner dimension is refused before the product is formed.
+    """
+    inner = a.shape[-1]
+    if inner > _SAFE_INNER and inner * (int(p) - 1) ** 2 > _INT64_MAX:
+        raise InvalidInput(
+            f"inner dimension {inner} overflows int64 products mod {p}")
     return (a @ b) % p
 
 
 def rref(m, p: int) -> Tuple[np.ndarray, List[int]]:
-    """Reduced row-echelon form and pivot columns.  rank = len(pivots)."""
+    """Reduced row-echelon form and pivot columns.  rank = len(pivots).
+
+    Column by column: the pivot is the first row at or below r with a nonzero
+    entry in the column; it is swapped into row r and scaled to 1, and every
+    other row with a nonzero entry there is cleared in one broadcast update.
+    Row r is zero left of the pivot column, so only the columns from it
+    rightwards are touched.  Each updated entry is a single product below
+    p^2 <= 2^40 subtracted from a reduced entry, so unlike mat_mul the
+    update needs no overflow guard.
+    """
     a = as_matrix(m, p)
     rows, cols = a.shape
     r = 0
     pivots: List[int] = []
     for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        for i in np.nonzero(a[:, c])[0]:
-            if i != r:
-                a[i] = (a[i] - a[i, c] * a[r]) % p
-        pivots.append(c)
-        r += 1
         if r == rows:
             break
+        hit = a[:, c].nonzero()[0]
+        # bisect beats ndarray.searchsorted on the short hit lists that
+        # dominate small systems
+        k = bisect_left(hit, r)
+        if k == len(hit):
+            continue
+        piv = hit[k]
+        if piv != r:
+            a[[r, piv], c:] = a[[piv, r], c:]
+        row = a[r, c:]
+        if row[0] != 1:
+            row *= pow(int(row[0]), p - 2, p)
+            row %= p
+        if len(hit) > 1:
+            # row piv now holds the old row r, which is zero in column c
+            hit = hit[hit != piv]
+            a[hit, c:] = (a[hit, c:] - a[hit, c, None] * row) % p
+        pivots.append(c)
+        r += 1
     return a, pivots
 
 
@@ -98,16 +143,13 @@ def kernel_basis(m, p: int) -> np.ndarray:
 
     Row count = cols - rank(m); ordered by free column index.
     """
-    a = as_matrix(m, p)
-    cols = a.shape[1]
-    r, pivots = rref(a, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = zeros(len(free), cols)
-    for idx, f in enumerate(free):
-        basis[idx, f] = 1
-        for i, c in enumerate(pivots):
-            basis[idx, c] = (-r[i, f]) % p
+    r, pivots = rref(m, p)
+    is_free = np.ones(r.shape[1], dtype=bool)
+    is_free[pivots] = False
+    free = is_free.nonzero()[0]
+    basis = zeros(free.size, r.shape[1])
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = (-r[:len(pivots), free].T) % p
     return basis
 
 
@@ -117,20 +159,18 @@ def solve_linear(a, b, p: int) -> Optional[np.ndarray]:
     Returns None when the system is inconsistent.  b may be a matrix (each
     column solved simultaneously) and must have a.rows rows.
     """
-    a = as_matrix(a, p)
-    b = np.asarray(b, dtype=np.int64) % p
+    a = _int_matrix(a, p)
+    b = np.asarray(b, dtype=np.int64)
     if b.ndim == 1:
         b = b.reshape(-1, 1)
     if b.shape[0] != a.shape[0]:
         raise InvalidInput(f"dimension mismatch: a has {a.shape[0]} rows, b has {b.shape[0]}")
     n = a.shape[1]
-    aug = np.hstack([a, b])
-    r, pivots = rref(aug, p)
+    r, pivots = rref(np.hstack([a, b]), p)
     if pivots and pivots[-1] >= n:
         return None
     x = zeros(n, b.shape[1])
-    for i, c in enumerate(pivots):
-        x[c] = r[i, n:]
+    x[pivots] = r[:len(pivots), n:]
     return x
 
 

@@ -66,17 +66,17 @@ class WorkspaceDocument:
     raw: dict
 
     def algebra(self, name: str, pointer: str = "") -> Algebra:
-        if name not in self.algebras:
+        if not isinstance(name, str) or name not in self.algebras:
             raise WorkspaceError(pointer or "/algebras", f"unknown algebra {name!r}")
         return self.algebras[name]
 
     def module(self, name: str, pointer: str = "") -> Module:
-        if name not in self.modules:
+        if not isinstance(name, str) or name not in self.modules:
             raise WorkspaceError(pointer or "/modules", f"unknown module {name!r}")
         return self.modules[name]
 
     def complex(self, name: str, pointer: str = "") -> Complex:
-        if name not in self.complexes:
+        if not isinstance(name, str) or name not in self.complexes:
             raise WorkspaceError(pointer or "/complexes", f"unknown complex {name!r}")
         return self.complexes[name]
 

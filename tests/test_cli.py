@@ -101,3 +101,30 @@ def test_cli_malformed_task_names_its_pointer(tmp_path, capsys, tasks, pointer):
     body = json.loads(out)
     assert body["status"] == "invalid-input"
     assert body["reason"].startswith(pointer + ":")
+
+
+SOCLE_MAP = {"source": "socle-seq", "target": "socle-seq"}
+
+
+@pytest.mark.parametrize("task, pointer", [
+    ({"cmd": "addmem", "module": "k", "summands": 5}, "/tasks/1/summands"),
+    ({"cmd": "cone", "map": 3}, "/tasks/1/map"),
+    ({"cmd": "cone", "map": dict(SOCLE_MAP, components={"a": [[1]]})},
+     "/tasks/1/map/components/a"),
+    ({"cmd": "ext", "source": "k", "target": "k", "max_i": "2"}, "/tasks/1/max_i"),
+    ({"cmd": "ext", "source": "k", "target": "k", "max_i": True}, "/tasks/1/max_i"),
+    ({"cmd": "ext", "source": "k", "target": "k", "max_i": 2.5}, "/tasks/1/max_i"),
+    ({"cmd": "injdim", "module": ["reg"]}, "/tasks/1/module"),
+])
+def test_cli_ill_typed_task_field_names_its_pointer(tmp_path, capsys, task, pointer):
+    with open(KX2, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["tasks"] = [doc["tasks"][0], dict(task, name="bad")]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, task["cmd"], "--workspace", str(bad),
+                        "--task", "bad")
+    assert code == 2
+    body = json.loads(out)
+    assert body["status"] == "invalid-input"
+    assert body["reason"].startswith(pointer + ":")

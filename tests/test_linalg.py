@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from homres import linalg
 from homres.errors import InvalidInput
@@ -93,3 +95,147 @@ def test_determinism_bit_identical():
     k1 = linalg.kernel_basis(m, 13)
     k2 = linalg.kernel_basis(m.copy(), 13)
     assert np.array_equal(k1, k2)
+
+
+def test_check_modulus_checks_the_bound_before_primality():
+    # trial division of this Mersenne prime would run for about 2^30 steps
+    with pytest.raises(InvalidInput, match="exceeds"):
+        linalg.check_modulus((1 << 61) - 1)
+
+
+def test_mat_mul_refuses_an_inner_dimension_that_overflows_int64():
+    p = 1048573
+    n = 1 << 24  # n * (p-1)^2 > 2^63; broadcast views allocate nothing
+    a = np.broadcast_to(np.int64(p - 1), (1, n))
+    b = np.broadcast_to(np.int64(p - 1), (n, 1))
+    with pytest.raises(InvalidInput, match="inner dimension"):
+        linalg.mat_mul(a, b, p)
+    c = np.full((1, 8), p - 1, dtype=np.int64)
+    assert linalg.mat_mul(c, c.T, p).tolist() == [[8 % p]]
+
+
+# -- the row-by-row elimination, kept as the reference for rref -------------------
+
+
+def reference_rref(m, p):
+    a = linalg.as_matrix(m, p)
+    rows, cols = a.shape
+    r = 0
+    pivots = []
+    for c in range(cols):
+        piv = None
+        for i in range(r, rows):
+            if a[i, c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        inv = pow(int(a[r, c]), p - 2, p)
+        a[r] = (a[r] * inv) % p
+        for i in np.nonzero(a[:, c])[0]:
+            if i != r:
+                a[i] = (a[i] - a[i, c] * a[r]) % p
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a, pivots
+
+
+def reference_kernel_basis(m, p):
+    a = linalg.as_matrix(m, p)
+    cols = a.shape[1]
+    r, pivots = reference_rref(a, p)
+    free = [c for c in range(cols) if c not in set(pivots)]
+    basis = linalg.zeros(len(free), cols)
+    for idx, f in enumerate(free):
+        basis[idx, f] = 1
+        for i, c in enumerate(pivots):
+            basis[idx, c] = (-r[i, f]) % p
+    return basis
+
+
+def reference_solve_linear(a, b, p):
+    a = linalg.as_matrix(a, p)
+    b = np.asarray(b, dtype=np.int64) % p
+    if b.ndim == 1:
+        b = b.reshape(-1, 1)
+    n = a.shape[1]
+    r, pivots = reference_rref(np.hstack([a, b]), p)
+    if pivots and pivots[-1] >= n:
+        return None
+    x = linalg.zeros(n, b.shape[1])
+    for i, c in enumerate(pivots):
+        x[c] = r[i, n:]
+    return x
+
+
+PRIMES = (2, 3, 7, 1048573)
+
+SHAPES = st.one_of(
+    st.tuples(st.integers(0, 8), st.integers(0, 8)),   # empty, 1xn, nx1, square
+    st.tuples(st.integers(9, 40), st.integers(1, 4)),  # tall
+    st.tuples(st.integers(1, 4), st.integers(9, 40)),  # wide
+)
+
+
+@st.composite
+def matrices(draw, shape=SHAPES):
+    """(m, p): mostly reduced entries, some zeros, some to be reduced mod p."""
+    p = draw(st.sampled_from(PRIMES))
+    entry = st.one_of(st.just(0), st.integers(0, p - 1),
+                      st.integers(-2 * p, 2 * p))
+    m = draw(hnp.arrays(np.int64, draw(shape), elements=entry))
+    return m, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(mp=matrices())
+def test_rref_matches_the_row_by_row_reference(mp):
+    m, p = mp
+    before = m.copy()
+    r, pivots = linalg.rref(m, p)
+    want, want_pivots = reference_rref(m, p)
+    assert pivots == want_pivots
+    assert r.dtype == np.int64 and np.array_equal(r, want)
+    assert np.array_equal(m, before)  # the input is not eliminated in place
+
+
+@settings(max_examples=200, deadline=None)
+@given(mp=matrices(), seed=st.integers(0, 2 ** 32 - 1))
+def test_rref_is_canonical_under_invertible_row_operations(mp, seed):
+    m, p = mp
+    n = m.shape[0]
+    rng = np.random.default_rng(seed)
+    # G = L U with unit-lower L and upper U of nonzero diagonal is invertible
+    lower = np.tril(rng.integers(0, p, size=(n, n)), -1) + np.eye(n, dtype=np.int64)
+    upper = np.triu(rng.integers(0, p, size=(n, n)), 1) + np.diag(
+        rng.integers(1, p, size=n))
+    g = linalg.mat_mul(lower, upper, p)
+    r, pivots = linalg.rref(linalg.mat_mul(g, linalg.as_matrix(m, p), p), p)
+    want, want_pivots = linalg.rref(m, p)
+    assert pivots == want_pivots
+    k = len(pivots)
+    assert np.array_equal(r[:k], want[:k])
+    assert not np.any(r[k:]) and not np.any(want[k:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(mp=matrices(), data=st.data())
+def test_kernel_and_solve_match_the_reference(mp, data):
+    m, p = mp
+    assert np.array_equal(linalg.kernel_basis(m, p), reference_kernel_basis(m, p))
+    width = data.draw(st.integers(1, 3))
+    b = data.draw(hnp.arrays(np.int64, (m.shape[0], width),
+                             elements=st.integers(-p, 2 * p)))
+    if m.shape[0] and data.draw(st.booleans()):
+        b = linalg.mat_mul(linalg.as_matrix(m, p),
+                           np.ones((m.shape[1], width), dtype=np.int64), p)
+    x = linalg.solve_linear(m, b, p)
+    want = reference_solve_linear(m, b, p)
+    if want is None:
+        assert x is None
+    else:
+        assert np.array_equal(x, want)

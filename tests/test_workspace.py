@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from homres.harness import run_task, verification_suite
+from homres.harness import jsonable, run_task, verification_suite
+from homres.resolutions import proj_dim
 from homres.workspace import (
     WorkspaceError,
     bundled_workspace_path,
@@ -131,3 +132,19 @@ def test_suite_missing_section():
     ws = parse_workspace({"p": 2, "algebras": {}, "modules": {}})
     with pytest.raises(WorkspaceError):
         verification_suite(ws)
+
+
+@pytest.mark.parametrize("name, module", [
+    ("kx2", "k"), ("kx2", "reg"), ("a2-hereditary", "s0"),
+    ("a2-hereditary", "s1")])
+@pytest.mark.parametrize("strategy", ["evaluation", "doubled", "permuted"])
+def test_resolve_task_projdim_matches_proj_dim(name, module, strategy):
+    ws = load_workspace(bundled_workspace_path(name))
+    m = ws.module(module)
+    for bound in range(4):
+        want = jsonable(proj_dim(m, bound))
+        for length in range(4):
+            rep = run_task(ws, {"cmd": "resolve", "module": module,
+                                "length": length, "strategy": strategy,
+                                "seed": 3, "bound": bound})
+            assert rep["projdim"] == want, (bound, length)
