@@ -16,7 +16,7 @@ at v, and Hom(A e_i, A e_j) is identified with e_i A e_j.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -117,6 +117,8 @@ def validate_algebra(a: Algebra) -> Algebra:
 def from_table(p: int, dim: int, structure: Sequence[Tuple[int, int, int, int]],
                unit: Sequence[int], radical=None, labels=None) -> Algebra:
     """Build from a sparse (i, j, k, c) structure-constant list and validate."""
+    if dim < 0:
+        raise InvalidInput(f"algebra dimension {dim} is negative")
     mult = np.zeros((dim, dim, dim), dtype=np.int64)
     for i, j, k, c in structure:
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
@@ -149,6 +151,8 @@ class QuiverPresentation:
         for r in self.relations:
             if len(r) < 2:
                 raise InvalidInput(f"relation {r} has length < 2")
+            if not all(0 <= a < len(self.arrows) for a in r):
+                raise InvalidInput(f"relation {r} references a missing arrow")
             for m in range(len(r) - 1):
                 if self.arrows[r[m]][1] != self.arrows[r[m + 1]][0]:
                     raise InvalidInput(f"relation {r} is not a composable path")
@@ -326,18 +330,9 @@ def quotient_algebra(a: Algebra, ideal_rows: np.ndarray):
     lift (dim x qdim) is the section on the complement basis; proj @ lift = I.
     """
     p = a.p
-    rows = linalg.as_matrix(ideal_rows, p, cols=a.dim)
-    r, piv = linalg.rref(rows, p)
-    r = r[:len(piv)]
-    pivot_set = set(piv)
-    nonpiv = [c for c in range(a.dim) if c not in pivot_set]
-    sel = linalg.zeros(len(piv), a.dim)
-    for i, c in enumerate(piv):
-        sel[i, c] = 1
-    reduce_full = (linalg.identity(a.dim) - r.T @ sel) % p
-    proj = reduce_full[nonpiv, :] % p
-    lift = linalg.identity(a.dim)[:, nonpiv]
-    qdim = len(nonpiv)
+    proj, lift = linalg.quotient_basis(
+        linalg.as_matrix(ideal_rows, p, cols=a.dim), p)
+    qdim = lift.shape[1]
     mult = np.zeros((qdim, qdim, qdim), dtype=np.int64)
     for i in range(qdim):
         for j in range(qdim):

@@ -13,7 +13,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import linalg
-from .algebra import Algebra, same_algebra
+from .algebra import same_algebra
 from .errors import InvalidInput, InternalError, NeedsFiniteInjdim, NotAGenerator
 from .modules import (
     HomSpace,
@@ -22,10 +22,9 @@ from .modules import (
     direct_sum,
     hom_basis,
     identity_map,
-    map_kernel,
     regular_module,
 )
-from .resolutions import EXCEEDS_BOUND, Resolution, ext_dims, is_projective
+from .resolutions import EXCEEDS_BOUND, Resolution, _resolve, ext_dims
 
 
 @dataclass
@@ -66,25 +65,13 @@ def right_approximation(x: Module, c: AddCategory) -> Approximation:
     if not same_algebra(x.algebra, c.algebra):
         raise InvalidInput("module and add-category live over different algebras")
     homs = [(m, hom_basis(m, x)) for m in c.summands]
-    pieces: List[Module] = []
-    piece_homs: List[ModuleMap] = []
-    blocks = []
-    for m, basis in homs:
-        for h in basis:
-            pieces.append(m)
-            piece_homs.append(h)
-            blocks.append(h.matrix)
-    if pieces:
-        source = direct_sum(pieces).module
-        matrix = np.hstack(blocks) % x.p
-    else:
-        source = direct_sum([], algebra=x.algebra).module
-        matrix = linalg.zeros(x.dim, 0)
-    f = ModuleMap(source, x, matrix)
-    for _, basis in homs:
-        for h in basis:
-            if _factor_through(h, f) is None:
-                raise InternalError("approximation lifting contract failed")
+    pieces = [m for m, basis in homs for _ in basis]
+    piece_homs = [h for _, basis in homs for h in basis]
+    matrix = np.hstack([linalg.zeros(x.dim, 0)] + [h.matrix for h in piece_homs])
+    f = ModuleMap(direct_sum(pieces, algebra=x.algebra).module, x, matrix % x.p)
+    for h in piece_homs:
+        if _factor_through(h, f) is None:
+            raise InternalError("approximation lifting contract failed")
     return Approximation(f, pieces, piece_homs)
 
 
@@ -131,30 +118,16 @@ def addM_resolution(x: Module, c: AddCategory, length: int) -> Resolution:
     is not a generator and raises NotAGenerator.  The resolution completes
     early when a kernel itself lies in add(M): it becomes the final term.
     """
-    if length < 0:
-        raise InvalidInput("resolution length must be >= 0")
-    member = add_membership(x, c)
-    if member:
-        return Resolution(x, [x], [identity_map(x)], "addM", True)
-    approx = member.approximation
-    if linalg.rank(approx.map.matrix, x.p) != x.dim:
-        raise NotAGenerator("right approximation is not surjective")
-    terms = [approx.map.source]
-    maps = [approx.map]
-    syz, incl = map_kernel(approx.map)
-    for _ in range(length):
-        member = add_membership(syz, c)
+    def cover(y: Module) -> Optional[ModuleMap]:
+        member = add_membership(y, c)
         if member:
-            terms.append(syz)
-            maps.append(incl)
-            return Resolution(x, terms, maps, "addM", True)
-        approx = member.approximation
-        if linalg.rank(approx.map.matrix, syz.p) != syz.dim:
-            raise NotAGenerator("right approximation of a kernel is not surjective")
-        terms.append(approx.map.source)
-        maps.append(incl.compose(approx.map))
-        syz, incl = map_kernel(approx.map)
-    return Resolution(x, terms, maps, "addM", False)
+            return None
+        f = member.approximation.map
+        if linalg.rank(f.matrix, y.p) != y.dim:
+            raise NotAGenerator("right approximation is not surjective")
+        return f
+
+    return _resolve(x, length, "addM", cover)
 
 
 def perp_membership(x: Module, t: Module, t_injdim: int) -> bool:

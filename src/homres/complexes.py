@@ -11,7 +11,7 @@ Cone convention: Cone(g: P -> Q)^i = P^{i+1} ⊕ Q^i with differential
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -31,7 +31,7 @@ from .modules import (
     zero_map,
     zero_module,
 )
-from .resolutions import ext_dims, is_projective
+from .resolutions import _cohomology, ext_dims, is_projective
 
 
 @dataclass(eq=False)
@@ -177,59 +177,29 @@ def mapping_cone(f: ChainMap) -> Tuple[Complex, ChainMap, ChainMap]:
 
 
 def homology_dims(x: Complex) -> Dict[int, int]:
-    p = x.algebra.p
-    out = {}
-    for i in range(x.lo, x.hi + 1):
-        r_in = linalg.rank(x.diff(i - 1).matrix, p)
-        r_out = linalg.rank(x.diff(i).matrix, p)
-        out[i] = x.term(i).dim - r_out - r_in
-    return out
+    dims = _cohomology([t.dim for t in x.terms], [d.matrix for d in x.diffs],
+                       x.algebra.p)
+    return dict(zip(range(x.lo, x.hi + 1), dims))
 
 
 def is_acyclic(x: Complex) -> bool:
     return all(d == 0 for d in homology_dims(x).values())
 
 
-def _hom_complex_of(m: Module, x: Complex) -> Complex:
-    """Hom_A(m, x) as a complex of vector spaces over the trivial algebra GF(p).
-
-    Represented over a 1-dimensional algebra so complex machinery is reusable.
-    """
-    triv = _trivial_algebra(m.p)
-    spaces = {i: HomSpace(m, x.term(i)) for i in range(x.lo, x.hi + 1)}
-    terms = []
-    for i in range(x.lo, x.hi + 1):
-        d = len(spaces[i])
-        terms.append(Module(triv, d, np.stack([linalg.identity(d)])))
-    diffs = []
-    for i in range(x.lo, x.hi):
-        mat = spaces[i + 1].coords(x.diff(i).matrix @ spaces[i].stacked).T
-        diffs.append(ModuleMap(terms[i - x.lo], terms[i + 1 - x.lo], mat))
-    return Complex(triv, x.lo, terms, diffs)
-
-
-_TRIVIAL_CACHE: Dict[int, Algebra] = {}
-
-
-def _trivial_algebra(p: int) -> Algebra:
-    if p not in _TRIVIAL_CACHE:
-        _TRIVIAL_CACHE[p] = Algebra(
-            p=p, dim=1, mult=np.ones((1, 1, 1), dtype=np.int64),
-            unit=np.array([1]), radical=linalg.zeros(0, 1))
-    return _TRIVIAL_CACHE[p]
-
-
 def is_c_acyclic(x: Complex, c: AddCategory, lo_check: Optional[int] = None) -> bool:
-    """Hom(M_j, x) acyclic for every summand M_j, in degrees >= lo_check."""
+    """Hom(M_j, x) acyclic for every summand M_j, in degrees >= lo_check.
+
+    The Hom complex is read in Hom-space coordinates: δ^i = Hom(M_j, d^i).
+    """
     if not same_algebra(x.algebra, c.algebra):
         raise InvalidInput("complex and add-category live over different algebras")
+    first = 0 if lo_check is None else max(lo_check - x.lo, 0)
     for m in c.summands:
-        h = _hom_complex_of(m, x)
-        for i, d in homology_dims(h).items():
-            if lo_check is not None and i < lo_check:
-                continue
-            if d != 0:
-                return False
+        spaces = [HomSpace(m, t) for t in x.terms]
+        deltas = [spaces[i + 1].coords(d.matrix @ spaces[i].stacked)
+                  for i, d in enumerate(x.diffs)]
+        if any(_cohomology([len(h) for h in spaces], deltas, x.algebra.p)[first:]):
+            return False
     return True
 
 
@@ -336,7 +306,6 @@ def _c_resolve(x: Complex, c: AddCategory, cut: int) -> CResolution:
         phi1 = r1.map.component(i + 1)   # -> x1^{i+1}, nonzero only at i+1 = j+1
         phi2 = r2.map.component(i)
         hh = h.get(i + 1)
-        mat = linalg.zeros(tgt.dim, cone.term(i).dim)
         if i == j:
             # target X^j = x1^{j+1}; phi1 lands there, phi2^j = 0
             mat = (phi1.matrix @ ds.projections[0].matrix) % p

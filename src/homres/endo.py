@@ -10,13 +10,13 @@ characteristic, where no generic radical algorithm is available.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from . import linalg
-from .algebra import Algebra, same_algebra, validate_algebra, validate_radical
+from .algebra import Algebra, same_algebra, validate_algebra
 from .approx import AddCategory, add_membership, perp_membership
 from .errors import HypothesesNotSatisfied, InvalidInput, SearchExhausted
 from .modules import (
@@ -106,9 +106,7 @@ def endomorphism_algebra(m: Module,
             raise InvalidInput("declared summands do not sum to the module on the nose")
         radical = _radical_from_summands(ds, end)
     b = Algebra(p=p, dim=len(end), mult=mult, unit=unit, radical=radical)
-    validate_algebra(b)
-    if radical is not None:
-        validate_radical(b, radical)
+    validate_algebra(b)  # also validates rad B when it was derived
     return EndoContext(m=m, b=b, basis_maps=end.basis, summands=summands)
 
 

@@ -14,7 +14,6 @@ from . import linalg
 from .approx import AddCategory, add_membership, perp_membership, right_approximation
 from .complexes import (
     ChainMap,
-    Complex,
     homology_dims,
     homotopy_hom_dim,
     homotopy_retraction,
@@ -29,6 +28,7 @@ from .errors import HypothesesNotSatisfied, InvalidInput, NeedsFiniteInjdim
 from .gorenstein import cotilting_check, gp_membership, is_gorenstein, relative_auslander
 from .modules import Module, ModuleMap, regular_module
 from .resolutions import (
+    COVER_STRATEGIES,
     EXCEEDS_BOUND,
     ext_dims,
     gl_dim,
@@ -106,12 +106,18 @@ def _finite_injdim(t: Module, bound: int) -> int:
     return int(d)
 
 
+# integer task arguments that count something and so cannot be negative
+_NONNEGATIVE = ("bound", "max_i", "length", "depth", "seed")
+
+
 def _int_arg(args: dict, key: str, default: int, ptr: str) -> int:
     """A JSON integer argument; strings, booleans and floats are refused."""
     value = args.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise WorkspaceError(f"{ptr}/{key}",
                              f"expected an integer, got {value!r}")
+    if value < 0 and key in _NONNEGATIVE:
+        raise WorkspaceError(f"{ptr}/{key}", f"expected an integer >= 0, got {value}")
     return value
 
 
@@ -148,17 +154,21 @@ def run_task(ws: WorkspaceDocument, task: dict,
         out["dims"] = [int(d) for d in table.dims]
     elif cmd == "resolve":
         m = ws.module(args.get("module", ""), f"{ptr}/module")
+        strategy = args.get("strategy", "evaluation")
+        if strategy not in COVER_STRATEGIES:
+            raise WorkspaceError(f"{ptr}/strategy",
+                                 f"expected one of {list(COVER_STRATEGIES)}, got {strategy!r}")
         res = projective_resolution(m, _int_arg(args, "length", b, ptr),
-                                    strategy=args.get("strategy", "evaluation"),
+                                    strategy=strategy,
                                     seed=_int_arg(args, "seed", 0, ptr))
         out["terms"] = [t.dim for t in res.terms]
         out["complete"] = res.complete
         # res stops at the first projective syzygy, and by Schanuel whether a
         # syzygy is projective does not depend on the cover strategy: res
         # decides proj_dim(m, b) unless it stopped short of b
-        if b >= 0 and res.complete:
+        if res.complete:
             projdim = res.length if res.length <= b else EXCEEDS_BOUND
-        elif b >= 0 and res.length >= b:
+        elif res.length >= b:
             projdim = EXCEEDS_BOUND
         else:
             projdim = proj_dim(m, b)
@@ -259,7 +269,11 @@ def run_task(ws: WorkspaceDocument, task: dict,
         out["dim"] = homotopy_hom_dim(x, y, out["n"])
     elif cmd == "cresolve":
         x = ws.complex(args.get("complex", ""), f"{ptr}/complex")
-        cat = _category(ws, args, ptr, generator=bool(args.get("generator", False)))
+        generator = args.get("generator", False)
+        if not isinstance(generator, bool):
+            raise WorkspaceError(f"{ptr}/generator",
+                                 f"expected true or false, got {generator!r}")
+        cat = _category(ws, args, ptr, generator=generator)
         res = c_resolution(x, cat, _int_arg(args, "depth", b, ptr))
         q = res.complex.trim()
         out["lo"] = q.lo
@@ -294,13 +308,12 @@ def verification_suite(ws: WorkspaceDocument,
     """
     if not ws.suite:
         raise WorkspaceError("/suite", "workspace declares no suite section")
-    spec = ws.suite
+    spec = ws.suite if bound is None else dict(ws.suite, bound=bound)
     a = ws.algebra(spec.get("algebra", ""), "/suite/algebra")
     t = ws.module(spec.get("t", ""), "/suite/t")
     cat = _category(ws, spec, "/suite")
     r = _int_arg(spec, "r", 2, "/suite")
-    b = int(bound) if bound is not None else _int_arg(spec, "bound", DEFAULT_BOUND,
-                                                      "/suite")
+    b = _int_arg(spec, "bound", DEFAULT_BOUND, "/suite")
     checks = []
     dossier = {"p": ws.p, "r": r, "bound": b}
 

@@ -143,6 +143,22 @@ def kernel_basis(m, p: int) -> np.ndarray:
 
     Row count = cols - rank(m); ordered by free column index.
     """
+    return _null_rows(m, p)[0]
+
+
+def quotient_basis(rows, p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """GF(p)^n modulo the row span of rows, on the non-pivot coordinates.
+
+    Returns (proj, lift): proj (q x n) sends a vector to its class, lift
+    (n x q) includes the non-pivot coordinates; proj @ lift = I.  proj is the
+    kernel basis of rows: e_c minus the pivot-column entries that reduce it.
+    """
+    proj, free = _null_rows(rows, p)
+    return proj, identity(proj.shape[1])[:, free]
+
+
+def _null_rows(m, p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """kernel_basis(m) and the free column of each of its rows."""
     r, pivots = rref(m, p)
     is_free = np.ones(r.shape[1], dtype=bool)
     is_free[pivots] = False
@@ -150,7 +166,7 @@ def kernel_basis(m, p: int) -> np.ndarray:
     basis = zeros(free.size, r.shape[1])
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = (-r[:len(pivots), free].T) % p
-    return basis
+    return basis, free
 
 
 def solve_linear(a, b, p: int) -> Optional[np.ndarray]:
@@ -178,12 +194,8 @@ def inverse(m, p: int) -> Optional[np.ndarray]:
     a = as_matrix(m, p)
     if a.shape[0] != a.shape[1]:
         return None
-    if a.shape[0] == 0:
-        return a.copy()
-    x = solve_linear(a, identity(a.shape[0]), p)
-    if x is None or rank(a, p) != a.shape[0]:
-        return None
-    return x
+    # a consistent a x = I for square a already proves a invertible
+    return solve_linear(a, identity(a.shape[0]), p)
 
 
 def is_invertible(m, p: int) -> bool:

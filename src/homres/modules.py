@@ -9,7 +9,7 @@ pivots, so every construction is bit-reproducible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -290,39 +290,16 @@ def direct_sum(xs: Sequence[Module], algebra: Optional[Algebra] = None) -> Direc
 
 def map_kernel(f: ModuleMap) -> Tuple[Module, ModuleMap]:
     """Kernel module and its inclusion; basis from rref free columns."""
-    p = f.p
-    kern = linalg.kernel_basis(f.matrix, p)  # rows span ker in source coords
-    incl = kern.T.copy()                     # (source.dim, k)
-    k = kern.shape[0]
-    action = np.zeros((f.source.algebra.dim, k, k), dtype=np.int64)
-    for i in range(f.source.algebra.dim):
-        sol = linalg.solve_linear(incl, linalg.mat_mul(f.source.action[i], incl, p), p)
-        if sol is None:
-            raise InternalError("kernel is not action-stable; intertwiner law violated")
-        action[i] = sol
-    km = Module(f.source.algebra, k, action)
-    return km, ModuleMap(km, f.source, incl)
+    kern = linalg.kernel_basis(f.matrix, f.p)  # rows span ker in source coords
+    km = _submodule_on_rows(f.source, kern)
+    return km, ModuleMap(km, f.source, kern.T)
 
 
 def map_cokernel(f: ModuleMap) -> Tuple[Module, ModuleMap]:
     """Cokernel on the complement of the image's pivot columns, with projection."""
-    p = f.p
-    a = f.source.algebra
-    rows, piv = linalg.rref(f.matrix.T, p)  # row space = image of f in target coords
-    rows = rows[:len(piv)]
-    pivot_set = set(piv)
-    nonpiv = [c for c in range(f.target.dim) if c not in pivot_set]
-    sel = linalg.zeros(len(piv), f.target.dim)
-    for i, c in enumerate(piv):
-        sel[i, c] = 1
-    reducer = (linalg.identity(f.target.dim) - rows.T @ sel) % p
-    proj = reducer[nonpiv, :]
-    lift = linalg.identity(f.target.dim)[:, nonpiv]
-    q = len(nonpiv)
-    action = np.zeros((a.dim, q, q), dtype=np.int64)
-    for i in range(a.dim):
-        action[i] = (proj @ f.target.action[i] @ lift) % p
-    cm = Module(a, q, action)
+    proj, lift = linalg.quotient_basis(f.matrix.T, f.p)  # row space = image of f
+    action = (proj @ f.target.action @ lift) % f.p
+    cm = Module(f.source.algebra, lift.shape[1], action)
     return cm, ModuleMap(f.target, cm, proj)
 
 
@@ -332,22 +309,13 @@ def module_image(f: ModuleMap) -> Tuple[Module, ModuleMap, ModuleMap]:
     inclusion ∘ corestriction == f.
     """
     p = f.p
-    a = f.source.algebra
     rows, piv = linalg.rref(f.matrix.T, p)
     rows = rows[:len(piv)]
-    incl = rows.T.copy()  # (target.dim, r)
-    r = rows.shape[0]
-    action = np.zeros((a.dim, r, r), dtype=np.int64)
-    for i in range(a.dim):
-        sol = linalg.solve_linear(incl, linalg.mat_mul(f.target.action[i], incl, p), p)
-        if sol is None:
-            raise InternalError("image is not action-stable; intertwiner law violated")
-        action[i] = sol
-    im = Module(a, r, action)
-    cor = linalg.solve_linear(incl, f.matrix, p)
+    im = _submodule_on_rows(f.target, rows)
+    cor = linalg.solve_linear(rows.T, f.matrix, p)
     if cor is None:
         raise InternalError("image basis fails to express the map")
-    return im, ModuleMap(im, f.target, incl), ModuleMap(f.source, im, cor)
+    return im, ModuleMap(im, f.target, rows.T), ModuleMap(f.source, im, cor)
 
 
 def dual_module(x: Module) -> Module:
@@ -374,16 +342,20 @@ def _spin_is_simple(x: Module) -> bool:
 
 
 def _submodule_on_rows(x: Module, rows: np.ndarray) -> Module:
-    p = x.p
+    """The submodule of x on the span of independent rows, in that basis.
+
+    One solve incl · action[i] = ρ(b_i) · incl for every basis element at
+    once: incl has full column rank, so each block of the side-by-side
+    solution is the unique solution for its b_i.
+    """
+    p, n = x.p, x.algebra.dim
     incl = rows.T % p
-    k = rows.shape[0]
-    action = np.zeros((x.algebra.dim, k, k), dtype=np.int64)
-    for i in range(x.algebra.dim):
-        sol = linalg.solve_linear(incl, linalg.mat_mul(x.action[i], incl, p), p)
-        if sol is None:
-            raise InternalError("rows do not span a submodule")
-        action[i] = sol
-    return Module(x.algebra, k, action)
+    d, k = incl.shape
+    images = linalg.mat_mul(x.action, incl, p)  # (n, d, k)
+    sol = linalg.solve_linear(incl, images.transpose(1, 0, 2).reshape(d, n * k), p)
+    if sol is None:
+        raise InternalError("rows do not span a submodule")
+    return Module(x.algebra, k, sol.reshape(k, n, k).transpose(1, 0, 2))
 
 
 def _fitting_split(x: Module) -> Optional[Tuple[Module, Module]]:
@@ -395,12 +367,11 @@ def _fitting_split(x: Module) -> Optional[Tuple[Module, Module]]:
 
     def try_candidate(mat):
         power = linalg.mat_pow(mat, d, p)
-        r = linalg.rank(power, p)
-        if 0 < r < d:
-            im_rows, piv = linalg.rref(power.T, p)
-            im_rows = im_rows[:len(piv)]
+        im_rows, piv = linalg.rref(power.T, p)
+        if 0 < len(piv) < d:
             ker_rows = linalg.kernel_basis(power, p)
-            return (_submodule_on_rows(x, ker_rows), _submodule_on_rows(x, im_rows))
+            return (_submodule_on_rows(x, ker_rows),
+                    _submodule_on_rows(x, im_rows[:len(piv)]))
         return None
 
     for b in space.basis:

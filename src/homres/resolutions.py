@@ -12,8 +12,8 @@ All dimension functions are bounded searches: they return EXCEEDS_BOUND
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .modules import (
     map_kernel,
     regular_module,
     simple_modules,
-    zero_module,
 )
 
 EXCEEDS_BOUND = math.inf
@@ -125,31 +124,39 @@ class Resolution:
         return map_kernel(self.maps[n - 1])[0]
 
 
-def projective_resolution(x: Module, length: int,
-                          strategy: str = "evaluation", seed: int = 0) -> Resolution:
-    """Free resolution of x out to the given length.
+def _resolve(x: Module, length: int, kind: str, cover) -> Resolution:
+    """The resolution loop of every kind, out to the given length.
 
-    Terminates early (complete) as soon as a syzygy is projective: that syzygy
-    is appended as the final term with its inclusion as the last differential.
+    cover(y) is None when y is already of the kind, and otherwise a
+    surjection onto y from a module of the kind.  Terminates early (complete)
+    as soon as a syzygy is of the kind: that syzygy is appended as the final
+    term with its inclusion as the last differential.
     """
     if length < 0:
         raise InvalidInput("resolution length must be >= 0")
-    if is_projective(x):
-        return Resolution(x, [x], [identity_map(x)], "projective", True)
-    cover = free_cover(x, strategy, seed)
-    terms: List[Module] = [cover.source]
-    maps: List[ModuleMap] = [cover]
-    syz, incl = map_kernel(cover)
+    f = cover(x)
+    if f is None:
+        return Resolution(x, [x], [identity_map(x)], kind, True)
+    terms: List[Module] = [f.source]
+    maps: List[ModuleMap] = [f]
+    syz, incl = map_kernel(f)
     for _ in range(length):
-        if is_projective(syz):
+        f = cover(syz)
+        if f is None:
             terms.append(syz)
             maps.append(incl)
-            return Resolution(x, terms, maps, "projective", True)
-        nxt = free_cover(syz, strategy, seed)
-        terms.append(nxt.source)
-        maps.append(incl.compose(nxt))
-        syz, incl = map_kernel(nxt)
-    return Resolution(x, terms, maps, "projective", False)
+            return Resolution(x, terms, maps, kind, True)
+        terms.append(f.source)
+        maps.append(incl.compose(f))
+        syz, incl = map_kernel(f)
+    return Resolution(x, terms, maps, kind, False)
+
+
+def projective_resolution(x: Module, length: int,
+                          strategy: str = "evaluation", seed: int = 0) -> Resolution:
+    """Free resolution of x out to the given length, by free covers."""
+    return _resolve(x, length, "projective",
+                    lambda y: None if is_projective(y) else free_cover(y, strategy, seed))
 
 
 def validate_resolution(res: Resolution) -> Resolution:
@@ -194,6 +201,17 @@ def _hom_complex_delta(res: Resolution, y: Module, i: int,
     return hj.coords(hi.stacked @ res.maps[i + 1].matrix).T
 
 
+def _cohomology(dims: List[int], deltas: List[np.ndarray], p: int) -> List[int]:
+    """dim H^i = dims[i] - rank δ^i - rank δ^{i-1} for a complex of GF(p)-spaces.
+
+    deltas[i] is the matrix of δ^i from degree i to i + 1; differentials past
+    the end of the list are zero.
+    """
+    ranks = [0] + [linalg.rank(d, p) for d in deltas]
+    ranks += [0] * (len(dims) + 1 - len(ranks))
+    return [h - ranks[i] - ranks[i + 1] for i, h in enumerate(dims)]
+
+
 def ext_dims(x: Module, y: Module, max_i: int) -> ExtTable:
     """dim Ext^i(x, y) for 0 <= i <= max_i via the Hom complex of a free resolution."""
     if max_i < 0:
@@ -202,17 +220,8 @@ def ext_dims(x: Module, y: Module, max_i: int) -> ExtTable:
     L = res.length
     homs = {i: hom_basis(res.terms[i], y) if i <= L else []
             for i in range(max_i + 2)}
-    ranks = {}
-    for i in range(max_i + 1):
-        if i + 1 <= L:
-            ranks[i] = linalg.rank(_hom_complex_delta(res, y, i, homs), y.p)
-        else:
-            ranks[i] = 0
-    dims = []
-    for i in range(max_i + 1):
-        h = len(homs.get(i, []))
-        below = ranks.get(i - 1, 0)
-        dims.append(h - ranks[i] - below)
+    deltas = [_hom_complex_delta(res, y, i, homs) for i in range(min(max_i + 1, L))]
+    dims = _cohomology([len(homs[i]) for i in range(max_i + 1)], deltas, y.p)
     if dims[0] != len(hom_basis(x, y)):
         raise InternalError("Ext^0 disagrees with the hom space")
     return ExtTable(x, y, dims, max_i)
@@ -224,22 +233,22 @@ def proj_dim(x: Module, bound: int):
     return res.length if res.complete else EXCEEDS_BOUND
 
 
-def inj_dim(t: Module, bound: int, headroom: int = INJDIM_HEADROOM):
+def inj_dim(t: Module, bound: int):
     """Least r <= bound with Ext^i(S, t) = 0 for every simple S and
-    r+1 <= i <= r+1+headroom, else EXCEEDS_BOUND.
+    r+1 <= i <= r+1+INJDIM_HEADROOM, else EXCEEDS_BOUND.
 
     Vanishing of Ext^{r+1}(-, t) on simples propagates to all finite-length
     modules by induction on length, so r bounds the injective dimension; the
-    extra headroom degrees guard against bookkeeping slips at no asymptotic
-    cost.
+    INJDIM_HEADROOM extra degrees guard against bookkeeping slips at no
+    asymptotic cost.
     """
     if t.dim == 0:
         return 0
     sims = simple_modules(t.algebra)
-    top = bound + 1 + headroom
+    top = bound + 1 + INJDIM_HEADROOM
     tables = [ext_dims(s, t, top).dims for s in sims]
     for r in range(bound + 1):
-        if all(all(d[i] == 0 for i in range(r + 1, min(r + 2 + headroom, top + 1)))
+        if all(all(d[i] == 0 for i in range(r + 1, r + 2 + INJDIM_HEADROOM))
                for d in tables):
             return r
     return EXCEEDS_BOUND

@@ -27,7 +27,7 @@ Validation failures carry a JSON-pointer-style location.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -81,27 +81,68 @@ class WorkspaceDocument:
         return self.complexes[name]
 
 
-def _need(doc: dict, key: str, pointer: str):
+_REQUIRED = object()
+_JSON_TYPES = {"an integer": int, "a string": str, "a list": list, "an object": dict}
+
+
+def _typed(value, kind: str, pointer: str):
+    """value, if it has the JSON type kind (a key of _JSON_TYPES)."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise WorkspaceError(pointer, f"expected {kind}, got {value!r}")
+    return value
+
+
+def _field(doc: dict, key: str, pointer: str, kind: Optional[str] = None,
+           default=_REQUIRED):
+    """doc[key], checked against kind when given; default when it is absent."""
     if key not in doc:
-        raise WorkspaceError(f"{pointer}/{key}", "missing required field")
-    return doc[key]
+        if default is _REQUIRED:
+            raise WorkspaceError(f"{pointer}/{key}", "missing required field")
+        return default
+    return doc[key] if kind is None else _typed(doc[key], kind, f"{pointer}/{key}")
+
+
+def _int_list(value, pointer: str, length: Optional[int] = None) -> tuple:
+    """A list of integers (of the given length) as a tuple."""
+    if (not isinstance(value, list) or length not in (None, len(value))
+            or not all(isinstance(v, int) and not isinstance(v, bool) for v in value)):
+        count = f"{length} " if length else ""
+        raise WorkspaceError(pointer, f"expected a list of {count}integers, got {value!r}")
+    return tuple(value)
+
+
+def _int_array(value, pointer: str) -> np.ndarray:
+    """A nested list of integers as an int64 array."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or (arr.size and arr.dtype.kind != "i"):
+        raise WorkspaceError(pointer, "expected a nested list of integers")
+    return arr.astype(np.int64)
 
 
 def _build_algebra(name: str, spec: dict, p: int) -> Algebra:
     ptr = f"/algebras/{name}"
-    kind = _need(spec, "kind", ptr)
+    _typed(spec, "an object", ptr)
+    kind = _field(spec, "kind", ptr)
     try:
         if kind == "quiver":
             q = QuiverPresentation(
-                vertices=_need(spec, "vertices", ptr),
-                arrows=[tuple(x) for x in _need(spec, "arrows", ptr)],
-                relations=[tuple(r) for r in spec.get("relations", [])])
+                vertices=_field(spec, "vertices", ptr, "an integer"),
+                arrows=[_int_list(x, f"{ptr}/arrows/{j}", 2)
+                        for j, x in enumerate(_field(spec, "arrows", ptr, "a list"))],
+                relations=[_int_list(r, f"{ptr}/relations/{j}") for j, r
+                           in enumerate(_field(spec, "relations", ptr, "a list", []))])
             return from_quiver(q, p)
         if kind == "table":
+            radical = spec.get("radical")
             return from_table(
-                p, _need(spec, "dim", ptr),
-                [tuple(e) for e in _need(spec, "structure", ptr)],
-                _need(spec, "unit", ptr), radical=spec.get("radical"))
+                p, _field(spec, "dim", ptr, "an integer"),
+                [_int_list(e, f"{ptr}/structure/{j}", 4)
+                 for j, e in enumerate(_field(spec, "structure", ptr, "a list"))],
+                _int_array(_field(spec, "unit", ptr), f"{ptr}/unit"),
+                radical=None if radical is None else _int_array(radical, f"{ptr}/radical"))
     except WorkspaceError:
         raise
     except HomresError as e:
@@ -111,14 +152,14 @@ def _build_algebra(name: str, spec: dict, p: int) -> Algebra:
 
 def _build_module(name: str, spec: dict, ws: WorkspaceDocument) -> Module:
     ptr = f"/modules/{name}"
-    a = ws.algebra(_need(spec, "algebra", ptr), f"{ptr}/algebra")
+    a = ws.algebra(_field(spec, "algebra", ptr), f"{ptr}/algebra")
     kind = spec.get("kind", "table")
     try:
         if kind == "regular":
             return regular_module(a)
         if kind == "simple":
             sims = simple_modules(a)
-            idx = spec.get("index", 0)
+            idx = _field(spec, "index", ptr, "an integer", 0)
             if not 0 <= idx < len(sims):
                 raise WorkspaceError(f"{ptr}/index",
                                      f"algebra has {len(sims)} simple modules")
@@ -126,11 +167,11 @@ def _build_module(name: str, spec: dict, ws: WorkspaceDocument) -> Module:
         if kind == "dual-regular":
             return dual_module(regular_module(opposite(a)))
         if kind == "sum":
-            parts = [ws.module(n, f"{ptr}/of") for n in _need(spec, "of", ptr)]
+            parts = [ws.module(n, f"{ptr}/of") for n in spec["of"]]
             return direct_sum(parts, algebra=a).module
         if kind == "table":
-            action = np.asarray(_need(spec, "action", ptr), dtype=np.int64)
-            return validate_module(Module(a, _need(spec, "dim", ptr), action))
+            action = _int_array(_field(spec, "action", ptr), f"{ptr}/action")
+            return validate_module(Module(a, _field(spec, "dim", ptr, "an integer"), action))
     except WorkspaceError:
         raise
     except HomresError as e:
@@ -140,17 +181,18 @@ def _build_module(name: str, spec: dict, ws: WorkspaceDocument) -> Module:
 
 def _build_complex(name: str, spec: dict, ws: WorkspaceDocument) -> Complex:
     ptr = f"/complexes/{name}"
-    a = ws.algebra(_need(spec, "algebra", ptr), f"{ptr}/algebra")
-    terms = [ws.module(n, f"{ptr}/terms") for n in _need(spec, "terms", ptr)]
-    raw_diffs = spec.get("diffs", [])
+    _typed(spec, "an object", ptr)
+    a = ws.algebra(_field(spec, "algebra", ptr), f"{ptr}/algebra")
+    terms = [ws.module(n, f"{ptr}/terms") for n in _field(spec, "terms", ptr, "a list")]
+    raw_diffs = _field(spec, "diffs", ptr, "a list", [])
     if len(raw_diffs) != max(len(terms) - 1, 0):
         raise WorkspaceError(f"{ptr}/diffs",
                              f"expected {max(len(terms) - 1, 0)} differentials")
+    lo = _field(spec, "lo", ptr, "an integer")
     try:
-        diffs = [ModuleMap(terms[i], terms[i + 1],
-                           np.asarray(raw_diffs[i], dtype=np.int64))
-                 for i in range(len(raw_diffs))]
-        return Complex(a, _need(spec, "lo", ptr), terms, diffs)
+        diffs = [ModuleMap(terms[i], terms[i + 1], _int_array(d, f"{ptr}/diffs/{i}"))
+                 for i, d in enumerate(raw_diffs)]
+        return Complex(a, lo, terms, diffs)
     except WorkspaceError:
         raise
     except HomresError as e:
@@ -171,40 +213,46 @@ def load_workspace(path: str) -> WorkspaceDocument:
 def parse_workspace(raw: dict) -> WorkspaceDocument:
     if not isinstance(raw, dict):
         raise WorkspaceError("/", "workspace root must be an object")
-    p = _need(raw, "p", "")
+    p = _field(raw, "p", "")
     try:
         linalg.check_modulus(p)
     except HomresError as e:
         raise WorkspaceError("/p", str(e)) from e
+    suite = raw.get("suite")
+    if suite is not None:
+        _typed(suite, "an object", "/suite")
     ws = WorkspaceDocument(p=p, algebras={}, modules={}, complexes={},
-                           tasks=raw.get("tasks", []), suite=raw.get("suite"),
+                           tasks=_field(raw, "tasks", "", "a list", []), suite=suite,
                            raw=raw)
-    for name, spec in raw.get("algebras", {}).items():
+    for name, spec in _field(raw, "algebras", "", "an object", {}).items():
         ws.algebras[name] = _build_algebra(name, spec, p)
     # modules may reference each other through sums, in any declaration
     # order: iterate until a fixpoint, then diagnose what never resolved
-    pending = dict(raw.get("modules", {}))
+    pending = dict(_field(raw, "modules", "", "an object", {}))
+    deps = {}
+    for name, spec in pending.items():
+        ptr = f"/modules/{name}"
+        _typed(spec, "an object", ptr)
+        deps[name] = []
+        if spec.get("kind") == "sum":
+            deps[name] = _field(spec, "of", ptr, "a list")
+            for j, part in enumerate(deps[name]):
+                _typed(part, "a string", f"{ptr}/of/{j}")
     while pending:
         progressed = False
         for name in list(pending):
-            spec = pending[name]
-            deps = spec.get("of", []) if spec.get("kind") == "sum" else []
-            if any(d in pending for d in deps):
+            if any(d in pending for d in deps[name]):
                 continue  # a declared part is not built yet; try again later
-            ws.modules[name] = _build_module(name, spec, ws)
-            del pending[name]
+            ws.modules[name] = _build_module(name, pending.pop(name), ws)
             progressed = True
         if not progressed:
             name = sorted(pending)[0]
             raise WorkspaceError(f"/modules/{name}/of",
                                  "cyclic sum reference")
-    for name, spec in raw.get("complexes", {}).items():
+    for name, spec in _field(raw, "complexes", "", "an object", {}).items():
         ws.complexes[name] = _build_complex(name, spec, ws)
-    if not isinstance(ws.tasks, list):
-        raise WorkspaceError("/tasks", "tasks must be a list")
     for i, task in enumerate(ws.tasks):
-        if not isinstance(task, dict):
-            raise WorkspaceError(f"/tasks/{i}", "a task must be an object")
+        _typed(task, "an object", f"/tasks/{i}")
     return ws
 
 

@@ -115,6 +115,17 @@ SOCLE_MAP = {"source": "socle-seq", "target": "socle-seq"}
     ({"cmd": "ext", "source": "k", "target": "k", "max_i": True}, "/tasks/1/max_i"),
     ({"cmd": "ext", "source": "k", "target": "k", "max_i": 2.5}, "/tasks/1/max_i"),
     ({"cmd": "injdim", "module": ["reg"]}, "/tasks/1/module"),
+    ({"cmd": "resolve", "module": "k", "strategy": "permuted", "seed": -1},
+     "/tasks/1/seed"),
+    ({"cmd": "resolve", "module": "k", "strategy": 5}, "/tasks/1/strategy"),
+    ({"cmd": "resolve", "module": "k", "length": -1}, "/tasks/1/length"),
+    ({"cmd": "cresolve", "complex": "socle-seq", "summands": ["reg", "k"],
+      "generator": "no"}, "/tasks/1/generator"),
+    ({"cmd": "cresolve", "complex": "socle-seq", "summands": ["reg", "k"],
+      "depth": -1}, "/tasks/1/depth"),
+    ({"cmd": "injdim", "module": "reg", "bound": -1}, "/tasks/1/bound"),
+    ({"cmd": "gldim", "algebra": "A", "bound": -1}, "/tasks/1/bound"),
+    ({"cmd": "ext", "source": "k", "target": "k", "max_i": -1}, "/tasks/1/max_i"),
 ])
 def test_cli_ill_typed_task_field_names_its_pointer(tmp_path, capsys, task, pointer):
     with open(KX2, encoding="utf-8") as fh:
@@ -124,6 +135,39 @@ def test_cli_ill_typed_task_field_names_its_pointer(tmp_path, capsys, task, poin
     bad.write_text(json.dumps(doc))
     code, out = run_cli(capsys, task["cmd"], "--workspace", str(bad),
                         "--task", "bad")
+    assert code == 2
+    body = json.loads(out)
+    assert body["status"] == "invalid-input"
+    assert body["reason"].startswith(pointer + ":")
+
+
+@pytest.mark.parametrize("command, path, value, pointer", [
+    ("gldim", ["modules", "m", "of"], [["k"]], "/modules/m/of/0"),
+    ("gldim", ["modules", "k", "index"], "0", "/modules/k/index"),
+    ("gldim", ["algebras"], [], "/algebras"),
+    ("gldim", ["modules", "k"], 3, "/modules/k"),
+    ("gldim", ["algebras", "A", "vertices"], "2", "/algebras/A/vertices"),
+    ("gldim", ["algebras", "A", "arrows", 0], [0], "/algebras/A/arrows/0"),
+    ("gldim", ["algebras", "A", "relations"], [[0, 5]], "/algebras/A"),
+    ("gldim", ["algebras", "T"], {"kind": "table", "dim": -1, "structure": [],
+                                  "unit": []}, "/algebras/T"),
+    ("gldim", ["complexes", "socle-seq", "lo"], "0", "/complexes/socle-seq/lo"),
+    ("gldim", ["complexes", "socle-seq", "diffs", 0], [[0], [1, 1]],
+     "/complexes/socle-seq/diffs/0"),
+    ("suite", ["suite"], 3, "/suite"),
+    ("suite", ["suite", "bound"], -1, "/suite/bound"),
+])
+def test_cli_ill_typed_workspace_field_names_its_pointer(tmp_path, capsys, command,
+                                                         path, value, pointer):
+    with open(KX2, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, command, "--workspace", str(bad))
     assert code == 2
     body = json.loads(out)
     assert body["status"] == "invalid-input"

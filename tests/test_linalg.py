@@ -62,16 +62,22 @@ def test_solve_matrix_rhs():
     assert ((np.array(a) @ x) % 7).tolist() == b
 
 
-def test_inverse_round_trip():
-    rng = np.random.default_rng(1)
-    p = 11
-    for _ in range(20):
-        m = rng.integers(0, p, size=(3, 3))
+@pytest.mark.parametrize("p", [2, 3, 11, 1048573])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_inverse_round_trip(p, n):
+    rng = np.random.default_rng([p, n])
+    for trial in range(20):
+        m = rng.integers(0, p, size=(n, n))
+        if trial % 4 == 0:
+            # forced singular: one row a multiple of another, or zero when n = 1
+            m[-1] = (rng.integers(0, p) * m[0]) % p if n > 1 else 0
         inv = linalg.inverse(m, p)
-        if inv is None:
-            assert linalg.rank(m, p) < 3
+        if linalg.rank(m, p) < n:
+            assert inv is None
         else:
-            assert ((m @ inv) % p).tolist() == np.eye(3, dtype=int).tolist()
+            assert inv is not None
+            assert ((m @ inv) % p).tolist() == np.eye(n, dtype=int).tolist()
+            assert ((inv @ m) % p).tolist() == np.eye(n, dtype=int).tolist()
 
 
 def test_mat_pow():

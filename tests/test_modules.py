@@ -306,3 +306,49 @@ def test_nonzero_vectors_odometer_order():
     from homres.modules import _nonzero_vectors
     got = [v.tolist() for v in _nonzero_vectors(2, 3)]
     assert got == [[1, 0], [2, 0], [0, 1], [1, 1], [2, 1], [0, 2], [1, 2], [2, 2]]
+
+
+def _loop_restrict(x, incl):
+    """Reference restriction to the columns of incl: one solve per basis element."""
+    p, k = x.p, incl.shape[1]
+    action = np.zeros((x.algebra.dim, k, k), dtype=np.int64)
+    for i in range(x.algebra.dim):
+        action[i] = linalg.solve_linear(incl, linalg.mat_mul(x.action[i], incl, p), p)
+    return action
+
+
+def _loop_quotient(rows, n, p):
+    """Reference quotient basis: proj = rows of I - r^T sel at the non-pivots."""
+    r, piv = linalg.rref(rows, p)
+    r = r[:len(piv)]
+    nonpiv = [c for c in range(n) if c not in set(piv)]
+    sel = linalg.zeros(len(piv), n)
+    for i, c in enumerate(piv):
+        sel[i, c] = 1
+    reducer = (linalg.identity(n) - r.T @ sel) % p
+    return reducer[nonpiv, :], linalg.identity(n)[:, nonpiv]
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["kx2", "kx3", "a2-hereditary"]),
+       pick=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_kernel_cokernel_image_match_loop_references(name, pick, seed):
+    p, mods = _bundled_modules(name)
+    rng = np.random.default_rng(seed)
+    x = _random_conjugate(mods[pick[0] % len(mods)], rng)
+    y = _random_conjugate(mods[pick[1] % len(mods)], rng)
+    space = HomSpace(x, y)
+    f = ModuleMap(x, y, space.combine(rng.integers(0, p, size=len(space))))
+    km, kincl = map_kernel(f)
+    assert np.array_equal(kincl.matrix, linalg.kernel_basis(f.matrix, p).T)
+    assert np.array_equal(km.action, _loop_restrict(x, kincl.matrix))
+    im, iincl, _ = module_image(f)
+    assert np.array_equal(im.action, _loop_restrict(y, iincl.matrix))
+    proj, lift = _loop_quotient(f.matrix.T, y.dim, p)
+    got_proj, got_lift = linalg.quotient_basis(f.matrix.T, p)
+    assert np.array_equal(got_proj, proj) and np.array_equal(got_lift, lift)
+    cm, cproj = map_cokernel(f)
+    assert np.array_equal(cproj.matrix, proj)
+    for i in range(x.algebra.dim):
+        assert np.array_equal(cm.action[i], (proj @ y.action[i] @ lift) % p)
