@@ -116,9 +116,17 @@ def validate_algebra(a: Algebra) -> Algebra:
 
 def from_table(p: int, dim: int, structure: Sequence[Tuple[int, int, int, int]],
                unit: Sequence[int], radical=None, labels=None) -> Algebra:
-    """Build from a sparse (i, j, k, c) structure-constant list and validate."""
+    """Build from a sparse (i, j, k, c) structure-constant list and validate.
+
+    radical, when given, must span rad A itself, not just some nilpotent
+    ideal: is_projective relies on A/radical being semisimple, and
+    validate_radical checks that only when p > dim.  An empty list declares
+    rad A = 0.
+    """
     if dim < 0:
         raise InvalidInput(f"algebra dimension {dim} is negative")
+    if radical is not None and np.shape(radical) == (0,):
+        radical = linalg.zeros(0, dim)
     mult = np.zeros((dim, dim, dim), dtype=np.int64)
     for i, j, k, c in structure:
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):

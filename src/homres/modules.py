@@ -144,10 +144,10 @@ def hom_basis(x: Module, y: Module) -> List[ModuleMap]:
         return []
     blocks = []
     for i in range(x.algebra.dim):
-        blocks.append((np.kron(linalg.identity(dy), x.action[i].T)
-                       - np.kron(y.action[i], linalg.identity(dx))) % p)
-    system = np.vstack(blocks)
-    kern = linalg.kernel_basis(system, p)
+        blocks.append(np.kron(linalg.identity(dy), x.action[i].T)
+                      - np.kron(y.action[i], linalg.identity(dx)))
+    # entries lie in (-p, p); rref reduces the stack mod p once
+    kern = linalg.kernel_basis(np.vstack(blocks), p)
     return [ModuleMap(x, y, row.reshape(dy, dx)) for row in kern]
 
 

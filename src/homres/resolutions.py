@@ -1,9 +1,16 @@
 """Projective resolutions, syzygies, Ext groups, and dimension functions.
 
 Resolutions use non-minimal free covers (an evaluation surjection from a free
-module on the underlying basis); Schanuel's lemma makes every invariant
-computed here independent of that choice, and alternative cover strategies
-exist precisely so tests can confirm it.
+module on the underlying basis, or on Nakayama generators once rad A is
+known); Schanuel's lemma makes every invariant computed here independent of
+that choice, and alternative cover strategies exist precisely so tests can
+confirm it.
+
+A module x is projective iff Tor_1(A/J, x) = 0 for J = rad A, which
+is_projective counts by dimensions on a Nakayama cover.  The criterion needs
+J to be the whole radical (a smaller nilpotent ideal can make Tor_1 vanish on
+a module that is not projective), so it asks radical_basis for J and raises
+UnsupportedField where no radical can be had.
 
 All dimension functions are bounded searches: they return EXCEEDS_BOUND
 (serialized as "exceeds-bound") instead of looping forever.
@@ -18,7 +25,7 @@ from typing import List
 import numpy as np
 
 from . import linalg
-from .algebra import Algebra
+from .algebra import Algebra, radical_basis
 from .errors import InternalError, InvalidInput
 from .modules import (
     HomSpace,
@@ -39,10 +46,35 @@ COVER_STRATEGIES = ("evaluation", "doubled", "permuted")
 INJDIM_HEADROOM = 3  # extra vanishing degrees demanded beyond the candidate
 
 
+def _nakayama_generators(x: Module, rad: np.ndarray) -> List[int]:
+    """Basis vectors of x off the pivot columns of rad·x, in order.
+
+    They span a complement of rad·x, so by Nakayama's lemma they generate x
+    when rad is rad A; there are dim x - rank(rad·x) of them.
+    """
+    (m, n), d = rad.shape, x.dim
+    acts = linalg.mat_mul(rad, x.action.reshape(n, d * d), x.p).reshape(m, d, d)
+    # one row per column of each r·x: their span is rad·x
+    _, piv = linalg.rref(acts.transpose(0, 2, 1).reshape(m * d, d), x.p)
+    pivots = set(piv)
+    return [j for j in range(d) if j not in pivots]
+
+
+def _cover_matrix(x: Module, gens: List[int]) -> np.ndarray:
+    """Matrix of A^len(gens) -> x sending free generator i to v_gens[i].
+
+    Block column i holds the b_k . v_gens[i] side by side.
+    """
+    n = x.algebra.dim
+    return x.action[:, :, gens].transpose(1, 2, 0).reshape(x.dim, len(gens) * n)
+
+
 def free_cover(x: Module, strategy: str = "evaluation", seed: int = 0) -> ModuleMap:
     """Surjection A^m -> x sending the generators of each free copy onto x.
 
-    evaluation: one copy of A per basis vector of x, in order;
+    evaluation: one copy of A per basis vector of x, in order, or per
+    Nakayama generator once the algebra's radical is known (Schanuel's lemma
+    makes every invariant built on top independent of the choice);
     doubled: two copies per basis vector (same kernel class by Schanuel);
     permuted: the basis vectors in a seeded random order.
     """
@@ -50,14 +82,9 @@ def free_cover(x: Module, strategy: str = "evaluation", seed: int = 0) -> Module
         raise InvalidInput(f"unknown cover strategy {strategy!r}")
     a = x.algebra
     gens = list(range(x.dim))
-    if strategy == "evaluation" and a.radical is not None and x.dim > 0:
-        # Nakayama: basis vectors complementing rad.x already generate, which
-        # keeps syzygies from ballooning; still a free cover, so every
-        # invariant built on top is unchanged by Schanuel's lemma.
-        rad_cols = [x.act(r) for r in a.radical]
-        if rad_cols:
-            rows, piv = linalg.rref(np.hstack(rad_cols).T, a.p)
-            gens = [j for j in range(x.dim) if j not in set(piv)]
+    if strategy == "evaluation" and a.radical is not None:
+        # fewer generators keep syzygies from ballooning
+        gens = _nakayama_generators(x, a.radical)
     if strategy == "doubled":
         gens = gens + gens
     elif strategy == "permuted":
@@ -65,35 +92,39 @@ def free_cover(x: Module, strategy: str = "evaluation", seed: int = 0) -> Module
         gens = [int(g) for g in rng.permutation(x.dim)]
     reg = regular_module(a)
     free = direct_sum([reg] * len(gens), algebra=a).module
-    if gens:
-        blocks = [x.action[:, :, j].T for j in gens]  # block col i = b_i . v_j
-        matrix = np.hstack(blocks) % a.p
-    else:
-        matrix = linalg.zeros(x.dim, 0)
-    return ModuleMap(free, x, matrix)
+    return ModuleMap(free, x, _cover_matrix(x, gens))
 
 
 def is_projective(x: Module) -> bool:
-    """True iff the evaluation cover A^d -> x splits.
+    """True iff Tor_1(A/J, x) = 0 for J = rad A.
 
-    A section decomposes into components x -> A, so it suffices to solve
-    sum_j B_j s_j = id with each s_j in Hom(x, A), where B_j is the cover's
-    j-th block; this keeps the linear system linear in dim x.
+    Over a finite-dimensional algebra a finitely generated module is
+    projective iff this Tor vanishes (Auslander-Reiten-Smalø, ch. I).  J
+    must be the whole radical: with J = 0, say, Tor_1 vanishes on every
+    module.  The Tor is counted on the cover F = A^g -> x on the g Nakayama
+    generators of x, with kernel K.  In the exact sequence
+    0 -> Tor_1 -> K/JK -> F/JF -> x/Jx -> 0, dim F/JF = g(n - m) and
+    dim x/Jx = g (n = dim A, m = dim J), so Tor_1 vanishes iff
+    dim K - dim JK = g(n - m) - g.
     """
     if x.dim == 0:
         return True
-    p = x.p
-    h = hom_basis(x, regular_module(x.algebra))
-    if not h:
-        return False
-    d = x.dim
-    cols = []
-    for j in range(d):
-        block = x.action[:, :, j].T  # (d, algebra.dim)
-        for s in h:
-            cols.append((block @ s.matrix).reshape(-1) % p)
-    target = linalg.identity(d).reshape(-1)
-    return linalg.solve_linear(np.stack(cols, axis=1), target, p) is not None
+    a = x.algebra
+    rad = radical_basis(a)
+    m, n = rad.shape
+    if m == 0:
+        return True
+    p = a.p
+    gens = _nakayama_generators(x, rad)
+    g = len(gens)
+    kern = linalg.kernel_basis(_cover_matrix(x, gens), p)  # rows in A^g
+    # r·k for every radical row r and kernel row k, each free copy acted on
+    # by the left multiplication matrix of r
+    left = linalg.mat_mul(rad, a.left_mult_matrices().reshape(n, n * n), p)
+    left_t = left.reshape(m, n, n).transpose(0, 2, 1)
+    jk = linalg.mat_mul(kern.reshape(-1, n), left_t, p)
+    jk_rank = linalg.rank(jk.reshape(m * kern.shape[0], g * n), p)
+    return kern.shape[0] - jk_rank == g * (n - m) - g
 
 
 @dataclass

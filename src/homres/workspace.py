@@ -7,7 +7,7 @@ Schema (informal), all matrices dense row-major integers mod the root p:
       "algebras": {name: {"kind": "quiver", "vertices": n, "arrows": [[s,t]...],
                           "relations": [[arrow indices]...]}
                    | {"kind": "table", "dim": n, "structure": [[i,j,k,c]...],
-                      "unit": [...], "radical": [[...]]?}},
+                      "unit": [...], "radical": [[...]] | []?}},
       "modules": {name: {"algebra": name, "kind": "regular"}
                   | {"algebra": name, "kind": "simple", "index": i}
                   | {"algebra": name, "kind": "dual-regular"}
@@ -20,6 +20,9 @@ Schema (informal), all matrices dense row-major integers mod the root p:
       "suite": {"algebra": ..., "t": ..., "summands": [...], "r": ...,
                 "bound"?: ..., "gp_list"?: [...], "spot_checks"?: [...]}
     }
+
+A table algebra's radical must span rad A; [] declares rad A = 0.  At
+p <= dim it is certified by splitting A/radical into simple modules.
 
 Validation failures carry a JSON-pointer-style location.
 """
@@ -137,12 +140,21 @@ def _build_algebra(name: str, spec: dict, p: int) -> Algebra:
             return from_quiver(q, p)
         if kind == "table":
             radical = spec.get("radical")
-            return from_table(
+            a = from_table(
                 p, _field(spec, "dim", ptr, "an integer"),
                 [_int_list(e, f"{ptr}/structure/{j}", 4)
                  for j, e in enumerate(_field(spec, "structure", ptr, "a list"))],
                 _int_array(_field(spec, "unit", ptr), f"{ptr}/unit"),
                 radical=None if radical is None else _int_array(radical, f"{ptr}/radical"))
+            if radical is not None and p <= a.dim:
+                # validate_radical proves A/rad semisimple only for p > dim;
+                # splitting it into simples proves it here, or raises
+                try:
+                    simple_modules(a)
+                except HomresError as e:
+                    raise WorkspaceError(f"{ptr}/radical",
+                                         f"A/radical is not certified semisimple: {e}") from e
+            return a
     except WorkspaceError:
         raise
     except HomresError as e:

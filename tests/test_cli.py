@@ -172,3 +172,54 @@ def test_cli_ill_typed_workspace_field_names_its_pointer(tmp_path, capsys, comma
     body = json.loads(out)
     assert body["status"] == "invalid-input"
     assert body["reason"].startswith(pointer + ":")
+
+
+# GF(2) x GF(2) (semisimple) and GF(2)[t]/(t^2) (not) as table algebras
+_PRODUCT = {"kind": "table", "dim": 2, "structure": [[0, 0, 0, 1], [1, 1, 1, 1]],
+            "unit": [1, 1]}
+_DUAL = {"kind": "table", "dim": 2,
+         "structure": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1]], "unit": [1, 0]}
+_TABLE_TASKS = [
+    {"cmd": "gldim", "algebra": "T"},
+    {"cmd": "resolve", "module": "reg"},
+    {"cmd": "ext", "source": "reg", "target": "reg", "max_i": 2},
+    {"cmd": "injdim", "module": "reg"},
+]
+
+
+def _table_workspace(tmp_path, algebra):
+    doc = {"p": 2, "algebras": {"T": algebra},
+           "modules": {"reg": {"algebra": "T", "kind": "regular"}},
+           "tasks": _TABLE_TASKS}
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_cli_table_algebra_with_zero_radical(tmp_path, capsys):
+    ws = _table_workspace(tmp_path, dict(_PRODUCT, radical=[]))
+    code, out = run_cli(capsys, "gldim", "--workspace", ws)
+    assert code == 0 and json.loads(out)["gldim"] == 0
+    code, out = run_cli(capsys, "resolve", "--workspace", ws)
+    assert code == 0 and json.loads(out)["projdim"] == 0
+
+
+def test_cli_table_algebra_radical_must_be_the_radical(tmp_path, capsys):
+    # (t) is the radical of GF(2)[t]/(t^2); declaring 0 leaves A/0 not semisimple
+    ws = _table_workspace(tmp_path, dict(_DUAL, radical=[]))
+    code, out = run_cli(capsys, "gldim", "--workspace", ws)
+    assert code == 2
+    body = json.loads(out)
+    assert body["status"] == "invalid-input"
+    assert body["reason"].startswith("/algebras/T/radical:")
+    assert "not certified semisimple" in body["reason"]
+
+
+@pytest.mark.parametrize("command", [t["cmd"] for t in _TABLE_TASKS])
+def test_cli_table_algebra_without_radical_at_small_p(tmp_path, capsys, command):
+    # no radical can be computed for a dim-2 algebra over GF(2): exit 3, not
+    # a verdict resting on a guessed radical
+    ws = _table_workspace(tmp_path, _DUAL)
+    code, out = run_cli(capsys, command, "--workspace", ws)
+    assert code == 3
+    assert "needs a supplied basis" in json.loads(out)["reason"]

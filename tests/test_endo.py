@@ -1,5 +1,13 @@
+import json
+import os
+import resource
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import homres
 
 from homres import linalg
 from homres.algebra import opposite, radical_basis, same_algebra
@@ -163,3 +171,64 @@ def test_verify_theorem2_one_directional_mode():
     assert rep.mode == "one-directional"
     # gl.dim B = 2 > 1, so the implication holds vacuously
     assert rep.verdict
+
+
+# Builds the two frontier Theorem-2 rungs and prints (inj.dim T, gl.dim B,
+# verdict, dim B) for each: the Auslander algebra of k[x]/(x^4) (its four
+# uniserial modules k[x]/(x^i), T = A) and rad^2-zero A_4 (all seven
+# indecomposables, T = D(A)).
+_FRONTIER_RUNGS = """
+import json
+import numpy as np
+from homres.algebra import QuiverPresentation, from_quiver, opposite
+from homres.approx import AddCategory
+from homres.endo import verify_theorem2
+from homres.modules import (Module, dual_module, regular_module,
+                            simple_modules, validate_module)
+
+p = 2
+a = from_quiver(QuiverPresentation(vertices=1, arrows=[(0, 0)],
+                                   relations=[(0, 0, 0, 0)]), p)
+uniserial = []
+for i in range(1, 5):
+    act = np.zeros((a.dim, i, i), dtype=np.int64)
+    for k in range(a.dim):  # x^k shifts u_j to u_{j+k}
+        for j in range(i - k):
+            act[k, j + k, j] = 1
+    uniserial.append(validate_module(Module(a, i, act)))
+rungs = [(a, regular_module(a), uniserial)]
+
+m = 4
+a = from_quiver(QuiverPresentation(
+    vertices=m, arrows=[(i, i + 1) for i in range(m - 1)],
+    relations=[(i, i + 1) for i in range(m - 2)]), p)
+reg = regular_module(a)
+indec = list(simple_modules(a))
+for v in range(m - 1):
+    idx = [v, m + v]  # e_v and the arrow leaving v span A e_v
+    indec.append(validate_module(Module(a, 2, reg.action[:, idx][:, :, idx])))
+rungs.append((a, dual_module(regular_module(opposite(a))), indec))
+
+out = []
+for a, t, mods in rungs:
+    rep = verify_theorem2(a, t, AddCategory(mods), 2)
+    out.append([rep.injdim_t, rep.gldim_b, rep.verdict, rep.b_dim])
+print(json.dumps(out))
+"""
+
+
+def _cap_address_space():
+    cap = 10 ** 9
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+def test_verify_theorem2_frontier_rungs_under_1gb():
+    # is_projective builds no Hom(x, A) system, so both rungs fit in 1 GB
+    src = os.path.dirname(os.path.dirname(os.path.abspath(homres.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _FRONTIER_RUNGS], env=env,
+                          capture_output=True, text=True, timeout=600,
+                          preexec_fn=_cap_address_space)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert json.loads(done.stdout) == [[0, 2, True, 30], [0, 2, True, 15]]

@@ -1,9 +1,15 @@
+import functools
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homres import linalg
+from homres.algebra import Algebra, from_table, radical_basis
+from homres.endo import endomorphism_algebra
 from homres.modules import (
-    ModuleMap, direct_sum, hom_basis, is_isomorphic, map_kernel,
+    Module, ModuleMap, direct_sum, hom_basis, is_isomorphic, map_kernel,
     regular_module, simple_modules, zero_module,
 )
 from homres.resolutions import (
@@ -17,8 +23,10 @@ from homres.resolutions import (
     projective_resolution,
     validate_resolution,
 )
+from homres.workspace import bundled_workspace_path, parse_workspace
 
 from test_algebra import dual_numbers, truncated_cubic, two_vertex_line
+from test_modules import _random_conjugate
 
 
 def test_is_projective_basics():
@@ -167,3 +175,100 @@ def test_validate_resolution_catches_broken_exactness():
                             linalg.zeros(res.terms[1].dim, res.terms[2].dim))
     with pytest.raises(Exception):
         validate_resolution(res)
+
+
+def _splitting_is_projective(x):
+    """Reference verdict: the evaluation cover A^d -> x splits.
+
+    A section decomposes into components x -> A, so it suffices to solve
+    sum_j B_j s_j = id with each s_j in Hom(x, A), where B_j is the cover's
+    j-th block; this keeps the linear system linear in dim x.
+    """
+    if x.dim == 0:
+        return True
+    p = x.p
+    h = hom_basis(x, regular_module(x.algebra))
+    if not h:
+        return False
+    d = x.dim
+    cols = []
+    for j in range(d):
+        block = x.action[:, :, j].T  # (d, algebra.dim)
+        for s in h:
+            cols.append((block @ s.matrix).reshape(-1) % p)
+    target = linalg.identity(d).reshape(-1)
+    return linalg.solve_linear(np.stack(cols, axis=1), target, p) is not None
+
+
+@functools.lru_cache(maxsize=None)
+def _workspace_at(name, p):
+    with open(bundled_workspace_path(name), encoding="utf-8") as fh:
+        return parse_workspace(dict(json.load(fh), p=p))
+
+
+@functools.lru_cache(maxsize=None)
+def _b_simples(name, p):
+    """The simple modules of B = (End ⊕ summands)^op for a bundled suite."""
+    ws = _workspace_at(name, p)
+    summands = [ws.modules[n] for n in ws.suite["summands"]]
+    ctx = endomorphism_algebra(direct_sum(summands).module, summands=summands)
+    return simple_modules(ctx.b)
+
+
+def _trace_form_modules(name, p):
+    """The bundled modules over a fresh copy of their algebra without its
+    quiver data, so radical_basis falls back to the trace form (p > dim)."""
+    ws = _workspace_at(name, p)
+    a0 = ws.algebras["A"]
+    a = Algebra(p=p, dim=a0.dim, mult=a0.mult, unit=a0.unit)
+    return [Module(a, x.dim, x.action) for n, x in sorted(ws.modules.items())
+            if x.algebra is a0]
+
+
+_ORACLE_SOURCES = [("bundled", n) for n in ("kx2", "kx3", "a2-hereditary")] + [
+    ("b-simple", "kx2"), ("b-simple", "kx3"),
+    ("trace-form", "kx2"), ("trace-form", "kx3"), ("trace-form", "a2-hereditary")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(source=st.sampled_from(_ORACLE_SOURCES),
+       p=st.sampled_from([2, 3, 5, 7]),
+       pick=st.lists(st.integers(0, 5), min_size=1, max_size=2),
+       depth=st.integers(0, 2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_is_projective_matches_splitting_reference(source, p, pick, depth, seed):
+    kind, name = source
+    if kind == "bundled":
+        mods = [x for _, x in sorted(_workspace_at(name, p).modules.items())]
+    elif kind == "b-simple":
+        mods = _b_simples(name, p)
+        depth = min(depth, 1)
+    else:
+        if p <= _workspace_at(name, p).algebras["A"].dim:
+            p = 7
+        mods = _trace_form_modules(name, p)
+    rng = np.random.default_rng(seed)
+    parts = [mods[i % len(mods)] for i in pick]
+    x = _random_conjugate(direct_sum(parts).module, rng)
+    for _ in range(depth):
+        x = _random_conjugate(map_kernel(free_cover(x))[0], rng)
+    assert is_projective(x) == _splitting_is_projective(x)
+
+
+def test_free_cover_uses_the_cached_trace_form_radical():
+    # GF(5)[t]/(t^2) as a bare table: is_projective computes and caches the
+    # trace-form radical, so the resolution's covers are Nakayama covers on
+    # one generator even though nothing asked for the radical beforehand
+    def fresh():
+        return from_table(5, 2, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)], [1, 0])
+    a = fresh()
+    assert a.radical is None
+    k = Module(a, 1, np.array([[[1]], [[0]]]))
+    x = direct_sum([regular_module(a), k]).module  # two generators, dim 3
+    res = projective_resolution(x, 3)
+    assert a.radical.tolist() == [[0, 1]]
+    assert [t.dim for t in res.terms] == [4, 2, 2, 2]
+    b = fresh()
+    radical_basis(b)
+    again = projective_resolution(Module(b, x.dim, x.action), 3)
+    assert all(np.array_equal(f.matrix, g.matrix) for f, g in zip(res.maps, again.maps))
