@@ -33,6 +33,9 @@ class Algebra:
     radical: Optional[np.ndarray] = None          # rows spanning rad A
     simple_actions: Optional[list] = None          # list of [action matrix per basis elt]
     labels: Optional[List[str]] = None
+    # the supplied radical is not yet shown to be all of rad A; radical_basis
+    # proves it (A/radical semisimple) on first use
+    radical_unproven: bool = False
     _left: Optional[np.ndarray] = field(default=None, repr=False)
     _right: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -45,7 +48,7 @@ class Algebra:
         if self.unit.shape != (self.dim,):
             raise InvalidInput("unit vector has wrong length")
         if self.radical is not None:
-            self.radical = linalg.as_matrix(self.radical, self.p, cols=self.dim)
+            self.radical = _row_basis(self.radical, self.p, self.dim)
 
     # -- multiplication helpers -------------------------------------------------
 
@@ -119,20 +122,20 @@ def from_table(p: int, dim: int, structure: Sequence[Tuple[int, int, int, int]],
     """Build from a sparse (i, j, k, c) structure-constant list and validate.
 
     radical, when given, must span rad A itself, not just some nilpotent
-    ideal: is_projective relies on A/radical being semisimple, and
-    validate_radical checks that only when p > dim.  An empty list declares
-    rad A = 0.
+    ideal: is_projective relies on A/radical being semisimple.  For p > dim
+    validate_radical checks that here by the trace form; for p <= dim
+    radical_basis checks it on first use by splitting A/radical into simple
+    modules.  An empty list declares rad A = 0.
     """
     if dim < 0:
         raise InvalidInput(f"algebra dimension {dim} is negative")
-    if radical is not None and np.shape(radical) == (0,):
-        radical = linalg.zeros(0, dim)
     mult = np.zeros((dim, dim, dim), dtype=np.int64)
     for i, j, k, c in structure:
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise InvalidInput(f"structure entry ({i},{j},{k}) out of range for dim {dim}")
         mult[i, j, k] = (mult[i, j, k] + c) % p
-    a = Algebra(p=p, dim=dim, mult=mult, unit=np.asarray(unit), radical=radical, labels=labels)
+    a = Algebra(p=p, dim=dim, mult=mult, unit=np.asarray(unit), radical=radical,
+                labels=labels, radical_unproven=radical is not None and p <= dim)
     return validate_algebra(a)
 
 
@@ -256,7 +259,8 @@ def opposite(a: Algebra) -> Algebra:
     return Algebra(p=a.p, dim=a.dim, mult=np.transpose(a.mult, (1, 0, 2)).copy(),
                    unit=a.unit.copy(),
                    radical=None if a.radical is None else a.radical.copy(),
-                   simple_actions=simple_actions, labels=a.labels)
+                   simple_actions=simple_actions, labels=a.labels,
+                   radical_unproven=a.radical_unproven)
 
 
 def _ideal_closure_step(a: Algebra, rows: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -275,11 +279,11 @@ def validate_radical(a: Algebra, rows: np.ndarray) -> None:
     """Check rows span a two-sided nilpotent ideal.
 
     When p > dim, additionally checks the quotient's trace form is
-    nondegenerate (semisimplicity); otherwise quotient semisimplicity is
-    verified downstream when simple modules are extracted.
+    nondegenerate (semisimplicity); otherwise radical_basis certifies the
+    quotient semisimple on first use of an algebra marked radical_unproven.
     """
     p = a.p
-    rows = linalg.as_matrix(rows, p, cols=a.dim)
+    rows = _row_basis(rows, p, a.dim)
     ident = linalg.identity(a.dim)
     for r in rows:
         for i in range(a.dim):
@@ -313,14 +317,33 @@ def _trace_form_kernel(a: Algebra) -> np.ndarray:
     return linalg.kernel_basis(gram, a.p)
 
 
+def _row_basis(rows, p: int, cols: int) -> np.ndarray:
+    """Independent rows spanning the row space of rows (its reduced form).
+
+    An empty list stands for no rows.
+    """
+    if np.shape(rows) == (0,):
+        return linalg.zeros(0, cols)
+    red, piv = linalg.rref(linalg.as_matrix(rows, p, cols=cols), p)
+    return red[:len(piv)]
+
+
 def radical_basis(a: Algebra) -> np.ndarray:
-    """Rows spanning rad A.
+    """Independent rows spanning rad A.
 
     Uses the supplied/quiver-derived basis when present; otherwise the trace
     form, which is only valid for p > dim - smaller characteristics raise
-    UnsupportedField rather than risking a wrong answer.
+    UnsupportedField rather than risking a wrong answer.  A supplied basis
+    marked radical_unproven is first certified by splitting A/radical into
+    simple modules: InvalidInput if that proves A/radical not semisimple,
+    SearchExhausted if the split cannot be decided.
     """
     if a.radical is not None:
+        if a.radical_unproven:
+            # modules builds on this module, so the split is imported here;
+            # simple_modules clears the mark once the split succeeds
+            from .modules import simple_modules
+            simple_modules(a)
         return a.radical
     if a.p <= a.dim:
         raise UnsupportedField(

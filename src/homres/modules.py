@@ -360,7 +360,12 @@ def _submodule_on_rows(x: Module, rows: np.ndarray) -> Module:
 
 def _fitting_split(x: Module) -> Optional[Tuple[Module, Module]]:
     """Split x = ker(f^d) ⊕ im(f^d) for an endomorphism f that is neither
-    nilpotent nor invertible; None if no such f is found in the search budget."""
+    nilpotent nor invertible.
+
+    None when the search tried every endomorphism, which proves x
+    indecomposable (a split has its projections among them);
+    SearchExhausted when a sampled search found none.
+    """
     p, d = x.p, x.dim
     space = HomSpace(x, x)
     h = len(space)
@@ -387,6 +392,8 @@ def _fitting_split(x: Module) -> Optional[Tuple[Module, Module]]:
         got = try_candidate(space.combine(coeffs))
         if got:
             return got
+    if p ** h > EXHAUSTIVE_CAP:
+        raise SearchExhausted("no splitting endomorphism among the sampled ones")
     return None
 
 
@@ -395,7 +402,10 @@ def simple_modules(a: Algebra) -> List[Module]:
 
     Quiver algebras carry their vertex simples directly; otherwise the
     semisimple quotient A/rad is split into simples by Fitting's lemma and
-    each factor's simplicity is verified exhaustively.
+    each factor's simplicity is verified exhaustively.  The split is what
+    certifies a supplied radical (radical_unproven): an indecomposable
+    factor that is not simple proves A/radical not semisimple, which is
+    InvalidInput.
     """
     if a.simple_actions is not None:
         out = []
@@ -404,7 +414,8 @@ def simple_modules(a: Algebra) -> List[Module]:
             action = np.stack([np.asarray(m, dtype=np.int64) % a.p for m in acts])
             out.append(validate_module(Module(a, d, action)))
         return out
-    rad = radical_basis(a)
+    # an unproven radical is proven by the split below, not by radical_basis
+    rad = a.radical if a.radical_unproven else radical_basis(a)
     q, proj, _ = quotient_algebra(a, rad)
     reg = regular_module(q)
 
@@ -412,14 +423,17 @@ def simple_modules(a: Algebra) -> List[Module]:
         if v.dim == 0:
             return []
         split = _fitting_split(v)
-        if split is None:
+        if split is None:  # v is indecomposable
             if not _spin_is_simple(v):
-                raise SearchExhausted("failed to split a non-simple semisimple module")
+                raise InvalidInput(
+                    f"the radical supplied for a dim-{a.dim} algebra over GF({a.p}) is "
+                    "not rad A: A/radical has an indecomposable summand that is not simple")
             return [v]
         left, right = split
         return decompose(left) + decompose(right)
 
     factors = decompose(reg)
+    a.radical_unproven = False
     # pull back along A -> A/rad: b_i acts via its image in the quotient
     pulled = []
     for f in factors:

@@ -1,8 +1,8 @@
 """Projective resolutions, syzygies, Ext groups, and dimension functions.
 
 Resolutions use non-minimal free covers (an evaluation surjection from a free
-module on the underlying basis, or on Nakayama generators once rad A is
-known); Schanuel's lemma makes every invariant computed here independent of
+module on Nakayama generators, or on the underlying basis where rad A cannot
+be found); Schanuel's lemma makes every invariant computed here independent of
 that choice, and alternative cover strategies exist precisely so tests can
 confirm it.
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import Algebra, radical_basis
-from .errors import InternalError, InvalidInput
+from .errors import InternalError, InvalidInput, UnsupportedField
 from .modules import (
     HomSpace,
     Module,
@@ -72,8 +72,8 @@ def _cover_matrix(x: Module, gens: List[int]) -> np.ndarray:
 def free_cover(x: Module, strategy: str = "evaluation", seed: int = 0) -> ModuleMap:
     """Surjection A^m -> x sending the generators of each free copy onto x.
 
-    evaluation: one copy of A per basis vector of x, in order, or per
-    Nakayama generator once the algebra's radical is known (Schanuel's lemma
+    evaluation: one copy of A per Nakayama generator of x, or per basis
+    vector, in order, where radical_basis cannot find rad A (Schanuel's lemma
     makes every invariant built on top independent of the choice);
     doubled: two copies per basis vector (same kernel class by Schanuel);
     permuted: the basis vectors in a seeded random order.
@@ -82,9 +82,12 @@ def free_cover(x: Module, strategy: str = "evaluation", seed: int = 0) -> Module
         raise InvalidInput(f"unknown cover strategy {strategy!r}")
     a = x.algebra
     gens = list(range(x.dim))
-    if strategy == "evaluation" and a.radical is not None:
-        # fewer generators keep syzygies from ballooning
-        gens = _nakayama_generators(x, a.radical)
+    if strategy == "evaluation":
+        try:
+            # fewer generators keep syzygies from ballooning
+            gens = _nakayama_generators(x, radical_basis(a))
+        except UnsupportedField:
+            pass
     if strategy == "doubled":
         gens = gens + gens
     elif strategy == "permuted":
@@ -104,7 +107,8 @@ def is_projective(x: Module) -> bool:
     module.  The Tor is counted on the cover F = A^g -> x on the g Nakayama
     generators of x, with kernel K.  In the exact sequence
     0 -> Tor_1 -> K/JK -> F/JF -> x/Jx -> 0, dim F/JF = g(n - m) and
-    dim x/Jx = g (n = dim A, m = dim J), so Tor_1 vanishes iff
+    dim x/Jx = g (n = dim A, m = dim J, the row count of radical_basis,
+    whose rows are independent), so Tor_1 vanishes iff
     dim K - dim JK = g(n - m) - g.
     """
     if x.dim == 0:

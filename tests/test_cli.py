@@ -174,11 +174,17 @@ def test_cli_ill_typed_workspace_field_names_its_pointer(tmp_path, capsys, comma
     assert body["reason"].startswith(pointer + ":")
 
 
-# GF(2) x GF(2) (semisimple) and GF(2)[t]/(t^2) (not) as table algebras
+def _truncated_polynomial(n):
+    """GF(p)[t]/(t^n) as a table algebra on the basis 1, t, ..., t^(n-1)."""
+    return {"kind": "table", "dim": n,
+            "structure": [[i, j, i + j, 1] for i in range(n) for j in range(n - i)],
+            "unit": [1] + [0] * (n - 1)}
+
+
+# GF(2) x GF(2) (semisimple) and GF(p)[t]/(t^2) (not) as table algebras
 _PRODUCT = {"kind": "table", "dim": 2, "structure": [[0, 0, 0, 1], [1, 1, 1, 1]],
             "unit": [1, 1]}
-_DUAL = {"kind": "table", "dim": 2,
-         "structure": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1]], "unit": [1, 0]}
+_DUAL = _truncated_polynomial(2)
 _TABLE_TASKS = [
     {"cmd": "gldim", "algebra": "T"},
     {"cmd": "resolve", "module": "reg"},
@@ -187,10 +193,13 @@ _TABLE_TASKS = [
 ]
 
 
-def _table_workspace(tmp_path, algebra):
-    doc = {"p": 2, "algebras": {"T": algebra},
+def _table_workspace(tmp_path, algebra, p=2, **others):
+    """A workspace on the table algebra T (and the algebras in others), with
+    T's regular module as reg and the tasks of _TABLE_TASKS."""
+    doc = {"p": p, "algebras": dict(others, T=algebra),
            "modules": {"reg": {"algebra": "T", "kind": "regular"}},
-           "tasks": _TABLE_TASKS}
+           "tasks": _TABLE_TASKS + [{"cmd": "gldim", "algebra": name, "name": f"gldim-{name}"}
+                                    for name in others]}
     path = tmp_path / "table.json"
     path.write_text(json.dumps(doc))
     return str(path)
@@ -204,15 +213,43 @@ def test_cli_table_algebra_with_zero_radical(tmp_path, capsys):
     assert code == 0 and json.loads(out)["projdim"] == 0
 
 
+@pytest.mark.parametrize("p, algebra, gldim", [
+    (2, dict(_PRODUCT, radical=[[0, 0]]), 0),
+    (2, dict(_PRODUCT, radical=[[0, 0], [0, 0]]), 0),
+    (3, dict(_DUAL, radical=[[0, 1], [0, 1]]), "exceeds-bound"),
+    (2, dict(_DUAL, radical=[[0, 1], [0, 0], [0, 1]]), "exceeds-bound"),
+])
+def test_cli_table_algebra_radical_rows_may_repeat(tmp_path, capsys, p, algebra, gldim):
+    # zero and repeated rows span the same radical: dim J counts the span
+    ws = _table_workspace(tmp_path, algebra, p=p)
+    code, out = run_cli(capsys, "gldim", "--workspace", ws)
+    assert code == 0 and json.loads(out)["gldim"] == gldim
+    code, out = run_cli(capsys, "resolve", "--workspace", ws)
+    assert code == 0 and json.loads(out)["projdim"] == 0
+
+
 def test_cli_table_algebra_radical_must_be_the_radical(tmp_path, capsys):
-    # (t) is the radical of GF(2)[t]/(t^2); declaring 0 leaves A/0 not semisimple
-    ws = _table_workspace(tmp_path, dict(_DUAL, radical=[]))
+    # (t) is the radical of GF(2)[t]/(t^2); declaring 0 leaves A/0 not
+    # semisimple, which the first computation needing rad A proves
+    ws = _table_workspace(tmp_path, dict(_DUAL, radical=[]),
+                          U=dict(_PRODUCT, radical=[]))
     code, out = run_cli(capsys, "gldim", "--workspace", ws)
     assert code == 2
     body = json.loads(out)
     assert body["status"] == "invalid-input"
-    assert body["reason"].startswith("/algebras/T/radical:")
-    assert "not certified semisimple" in body["reason"]
+    assert "is not rad A" in body["reason"]
+    # the workspace still loads, and its other algebra still answers
+    code, out = run_cli(capsys, "gldim", "--workspace", ws, "--task", "gldim-U")
+    assert code == 0 and json.loads(out)["gldim"] == 0
+
+
+def test_cli_table_algebra_undecided_radical_exits_3(tmp_path, capsys):
+    # GF(2)[t]/(t^17) with rad A declared 0: A/0 is indecomposable, but with
+    # 2^17 endomorphisms and a 17-dimensional factor the split cannot prove it
+    ws = _table_workspace(tmp_path, dict(_truncated_polynomial(17), radical=[]))
+    code, out = run_cli(capsys, "gldim", "--workspace", ws)
+    assert code == 3
+    assert json.loads(out)["status"] == "hypotheses-not-satisfied"
 
 
 @pytest.mark.parametrize("command", [t["cmd"] for t in _TABLE_TASKS])

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homres import linalg
-from homres.algebra import Algebra, from_table, radical_basis
+from homres.algebra import Algebra, from_table
 from homres.endo import endomorphism_algebra
+from homres.errors import InvalidInput
 from homres.modules import (
     Module, ModuleMap, direct_sum, hom_basis, is_isomorphic, map_kernel,
     regular_module, simple_modules, zero_module,
@@ -255,20 +256,53 @@ def test_is_projective_matches_splitting_reference(source, p, pick, depth, seed)
     assert is_projective(x) == _splitting_is_projective(x)
 
 
-def test_free_cover_uses_the_cached_trace_form_radical():
-    # GF(5)[t]/(t^2) as a bare table: is_projective computes and caches the
-    # trace-form radical, so the resolution's covers are Nakayama covers on
-    # one generator even though nothing asked for the radical beforehand
-    def fresh():
-        return from_table(5, 2, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)], [1, 0])
-    a = fresh()
+def _dual_numbers_table(p, radical=None):
+    """GF(p)[t]/(t^2) as a bare table algebra."""
+    return from_table(p, 2, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)], [1, 0],
+                      radical=radical)
+
+
+def test_free_cover_finds_the_trace_form_radical():
+    # at p > dim free_cover asks radical_basis for rad A itself, so a fresh
+    # bare table gets a Nakayama cover on its two generators
+    a = _dual_numbers_table(5)
     assert a.radical is None
     k = Module(a, 1, np.array([[[1]], [[0]]]))
     x = direct_sum([regular_module(a), k]).module  # two generators, dim 3
-    res = projective_resolution(x, 3)
+    assert free_cover(x).source.dim == 4
     assert a.radical.tolist() == [[0, 1]]
+    res = projective_resolution(x, 3)
     assert [t.dim for t in res.terms] == [4, 2, 2, 2]
-    b = fresh()
-    radical_basis(b)
-    again = projective_resolution(Module(b, x.dim, x.action), 3)
-    assert all(np.array_equal(f.matrix, g.matrix) for f, g in zip(res.maps, again.maps))
+
+
+def test_free_cover_without_a_radical_covers_every_basis_vector():
+    # at p <= dim no radical can be computed: one copy of A per basis vector
+    a = _dual_numbers_table(2)
+    k = Module(a, 1, np.array([[[1]], [[0]]]))
+    x = direct_sum([regular_module(a), k]).module
+    assert free_cover(x).source.dim == 6
+
+
+def test_supplied_radical_rows_are_reduced_to_a_basis():
+    a = _dual_numbers_table(3, radical=[[0, 1], [0, 2], [0, 0]])
+    assert a.radical.tolist() == [[0, 1]]
+    k = Module(a, 1, np.array([[[1]], [[0]]]))
+    assert is_projective(regular_module(a)) and not is_projective(k)
+
+
+def test_dependent_radical_rows_do_not_skip_the_trace_check():
+    # (t^2) spans a nilpotent ideal of GF(5)[t]/(t^3) but is not its radical;
+    # three copies of its row once made the quotient look zero-dimensional
+    cube = [(i, j, i + j, 1) for i in range(3) for j in range(3 - i)]
+    with pytest.raises(InvalidInput, match="not semisimple"):
+        from_table(5, 3, cube, [1, 0, 0], radical=[[0, 0, 1]] * 3)
+
+
+def test_supplied_radical_at_small_p_is_certified_on_first_use():
+    a = _dual_numbers_table(2, radical=[])  # rad A is (t), not 0
+    assert a.radical_unproven
+    with pytest.raises(InvalidInput, match="not rad A"):
+        is_projective(regular_module(a))
+    b = _dual_numbers_table(2, radical=[[0, 1]])
+    assert is_projective(regular_module(b))
+    assert not b.radical_unproven
