@@ -42,11 +42,11 @@ class Algebra:
     def __post_init__(self):
         linalg.check_modulus(self.p)
         self.mult = np.asarray(self.mult, dtype=np.int64) % self.p
-        self.unit = np.asarray(self.unit, dtype=np.int64).reshape(-1) % self.p
+        self.unit = np.asarray(self.unit, dtype=np.int64) % self.p
         if self.mult.shape != (self.dim, self.dim, self.dim):
             raise InvalidInput(f"structure tensor shape {self.mult.shape} != {(self.dim,) * 3}")
         if self.unit.shape != (self.dim,):
-            raise InvalidInput("unit vector has wrong length")
+            raise InvalidInput(f"unit has shape {self.unit.shape}, expected ({self.dim},)")
         if self.radical is not None:
             self.radical = _row_basis(self.radical, self.p, self.dim)
 
@@ -73,9 +73,6 @@ class Algebra:
         uv = np.einsum("i,ijk->jk", u, self.mult) % self.p
         return (v @ uv) % self.p
 
-    def basis_label(self, i: int) -> str:
-        return self.labels[i] if self.labels else f"b{i}"
-
 
 def same_algebra(a: Algebra, b: Algebra) -> bool:
     return (
@@ -101,20 +98,29 @@ def validate_algebra(a: Algebra) -> Algebra:
     if not np.array_equal(ru, ident):
         bad = int(np.argmax(np.any(ru != ident, axis=1)))
         raise InvalidInput(f"unit law fails: b{bad} * u != b{bad}")
-    for i in range(n):
-        for j in range(n):
-            lhs = linalg.mat_mul(left[i], left[j], p)
-            rhs = np.einsum("k,kab->ab", a.mult[i, j], left) % p
-            if not np.array_equal(lhs, rhs):
-                for k in range(n):
-                    lv = a.multiply(a.multiply(ident[i], ident[j]), ident[k])
-                    rv = a.multiply(ident[i], a.multiply(ident[j], ident[k]))
-                    if not np.array_equal(lv, rv):
-                        raise InvalidInput(f"associativity fails at triple ({i}, {j}, {k})")
-                raise InvalidInput(f"associativity fails at pair ({i}, {j})")
+    # column k of L_i L_j is b_i (b_j b_k), of sum_l mult[i, j, l] L_l (b_i b_j) b_k
+    bad = _unmultiplicative(a, left)
+    if bad is not None:
+        raise InvalidInput(f"associativity fails at triple {bad}")
     if a.radical is not None:
         validate_radical(a, a.radical)
     return a
+
+
+def _unmultiplicative(a: Algebra, action: np.ndarray) -> Optional[Tuple[int, int, int]]:
+    """The first (i, j) where rho(b_i) rho(b_j) != sum_l mult[i, j, l] rho(b_l),
+    and the first column k where they differ; None if rho is multiplicative.
+    One (n, d, d) product per i covers every j: no n^4 stack is built."""
+    p, n, d = a.p, a.dim, action.shape[1]
+    flat = action.reshape(n, d * d)
+    for i in range(n):
+        differ = (linalg.mat_mul(action[i], action, p)
+                  != linalg.mat_mul(a.mult[i], flat, p).reshape(n, d, d))
+        bad = np.flatnonzero(differ.any(axis=(1, 2)))
+        if bad.size:
+            j = int(bad[0])
+            return i, j, int(np.flatnonzero(differ[j].any(axis=0))[0])
+    return None
 
 
 def from_table(p: int, dim: int, structure: Sequence[Tuple[int, int, int, int]],
@@ -156,6 +162,8 @@ class QuiverPresentation:
     def __post_init__(self):
         self.arrows = [tuple(x) for x in self.arrows]
         self.relations = [tuple(r) for r in self.relations]
+        if self.vertices < 0:
+            raise InvalidInput(f"vertex count {self.vertices} is negative")
         for s, t in self.arrows:
             if not (0 <= s < self.vertices and 0 <= t < self.vertices):
                 raise InvalidInput(f"arrow ({s},{t}) references a missing vertex")
@@ -265,13 +273,11 @@ def opposite(a: Algebra) -> Algebra:
 
 def _ideal_closure_step(a: Algebra, rows: np.ndarray, other: np.ndarray) -> np.ndarray:
     """Row basis of span{x*y : x in rows, y in other} (element products)."""
-    prods = []
-    for x in rows:
-        for y in other:
-            prods.append(a.multiply(x, y))
-    if not prods:
-        return linalg.zeros(0, a.dim)
-    r, piv = linalg.rref(np.array(prods, dtype=np.int64), a.p)
+    p, n = a.p, a.dim
+    # x*y = sum_j y_j (sum_i x_i mult[i, j]), reduced after each contraction
+    xs = linalg.mat_mul(rows, a.mult.reshape(n, n * n), p).reshape(len(rows), n, n)
+    prods = linalg.mat_mul(other, xs, p).reshape(len(rows) * len(other), n)
+    r, piv = linalg.rref(prods, p)
     return r[:len(piv)]
 
 
@@ -282,27 +288,29 @@ def validate_radical(a: Algebra, rows: np.ndarray) -> None:
     nondegenerate (semisimplicity); otherwise radical_basis certifies the
     quotient semisimple on first use of an algebra marked radical_unproven.
     """
-    p = a.p
-    rows = _row_basis(rows, p, a.dim)
-    ident = linalg.identity(a.dim)
-    for r in rows:
-        for i in range(a.dim):
-            if not linalg.row_space_contains(rows, a.multiply(ident[i], r), p):
+    p, n = a.p, a.dim
+    rows = _row_basis(rows, p, n)
+    if rows.shape[0]:
+        # prods[r, i, side] is b_i * r (side 0) or r * b_i (side 1); it lies in the
+        # span of the rref rows iff it equals their sum weighted by its pivot entries
+        sides = np.stack([a.mult.transpose(1, 0, 2), a.mult], axis=2)  # [j, i, side, k]
+        prods = linalg.mat_mul(rows, sides.reshape(n, 2 * n * n), p).reshape(-1, n, 2, n)
+        pivots = np.argmax(rows != 0, axis=1)
+        spanned = linalg.mat_mul(prods[..., pivots], rows, p)
+        escapes = np.flatnonzero(np.any(prods != spanned, axis=3))
+        if escapes.size:
+            i, side = divmod(int(escapes[0]) % (2 * n), 2)
+            if side == 0:
                 raise InvalidInput(f"radical rows are not a left ideal (b{i} * row escapes)")
-            if not linalg.row_space_contains(rows, a.multiply(r, ident[i]), p):
-                raise InvalidInput(f"radical rows are not a right ideal (row * b{i} escapes)")
+            raise InvalidInput(f"radical rows are not a right ideal (row * b{i} escapes)")
     power = rows
-    for _ in range(a.dim + 1):
-        if power.shape[0] == 0:
-            break
+    while power.shape[0]:
         nxt = _ideal_closure_step(a, power, rows)
         if nxt.shape[0] == power.shape[0]:
             # successive powers of an ideal shrink until zero; a nonzero
             # fixed point can never reach zero
             raise InvalidInput("radical rows do not span a nilpotent ideal")
         power = nxt
-    if power.shape[0] != 0:
-        raise InvalidInput("radical rows do not span a nilpotent ideal")
     qdim = a.dim - rows.shape[0]
     if p > a.dim and qdim > 0:
         q, _, _ = quotient_algebra(a, rows)
@@ -363,10 +371,10 @@ def quotient_algebra(a: Algebra, ideal_rows: np.ndarray):
     p = a.p
     proj, lift = linalg.quotient_basis(
         linalg.as_matrix(ideal_rows, p, cols=a.dim), p)
-    qdim = lift.shape[1]
-    mult = np.zeros((qdim, qdim, qdim), dtype=np.int64)
-    for i in range(qdim):
-        for j in range(qdim):
-            mult[i, j] = (proj @ a.multiply(lift[:, i], lift[:, j])) % p
+    n, qdim = a.dim, lift.shape[1]
+    # lift_i * lift_j as in _ideal_closure_step, then projected onto Q
+    xs = linalg.mat_mul(lift.T, a.mult.reshape(n, n * n), p).reshape(qdim, n, n)
+    prods = linalg.mat_mul(lift.T, xs, p)
+    mult = linalg.mat_mul(prods, proj.T, p)
     q = Algebra(p=p, dim=qdim, mult=mult, unit=(proj @ a.unit) % p)
     return validate_algebra(q), proj, lift

@@ -213,9 +213,3 @@ def mat_pow(m: np.ndarray, e: int, p: int) -> np.ndarray:
         e >>= 1
     return out
 
-
-def row_space_contains(rows: np.ndarray, vec: np.ndarray, p: int) -> bool:
-    """Membership of vec in the row span of rows."""
-    if rows.shape[0] == 0:
-        return not np.any(vec % p)
-    return solve_linear(rows.T % p, vec.reshape(-1, 1) % p, p) is not None

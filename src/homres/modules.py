@@ -15,7 +15,9 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .algebra import Algebra, opposite, quotient_algebra, radical_basis, same_algebra
+from .algebra import (
+    Algebra, _unmultiplicative, opposite, quotient_algebra, radical_basis, same_algebra,
+)
 from .errors import InvalidInput, InternalError, SearchExhausted
 
 EXHAUSTIVE_CAP = 1 << 16
@@ -59,16 +61,12 @@ class Module:
 
 def validate_module(x: Module) -> Module:
     a = x.algebra
-    p = a.p
     unit_act = x.act(a.unit)
     if not np.array_equal(unit_act, linalg.identity(x.dim)):
         raise InvalidInput("unit does not act as the identity")
-    for i in range(a.dim):
-        for j in range(a.dim):
-            lhs = linalg.mat_mul(x.action[i], x.action[j], p)
-            rhs = np.einsum("k,kab->ab", a.mult[i, j], x.action) % p
-            if not np.array_equal(lhs, rhs):
-                raise InvalidInput(f"action is not multiplicative at pair ({i}, {j})")
+    bad = _unmultiplicative(a, x.action)
+    if bad is not None:
+        raise InvalidInput(f"action is not multiplicative at pair {bad[:2]}")
     return x
 
 
@@ -84,11 +82,12 @@ class ModuleMap:
         self.matrix = linalg.as_matrix(
             self.matrix, self.source.p, rows=self.target.dim, cols=self.source.dim)
         p = self.source.p
-        for i in range(self.source.algebra.dim):
-            lhs = linalg.mat_mul(self.matrix, self.source.action[i], p)
-            rhs = linalg.mat_mul(self.target.action[i], self.matrix, p)
-            if not np.array_equal(lhs, rhs):
-                raise InvalidInput(f"matrix does not intertwine basis element {i}")
+        # F rho_x(b_i) against rho_y(b_i) F for every basis element at once
+        lhs = linalg.mat_mul(self.matrix, self.source.action, p)
+        rhs = linalg.mat_mul(self.target.action, self.matrix, p)
+        bad = np.flatnonzero(np.any(lhs != rhs, axis=(1, 2)))
+        if bad.size:
+            raise InvalidInput(f"matrix does not intertwine basis element {bad[0]}")
 
     @property
     def p(self) -> int:
@@ -134,7 +133,8 @@ def hom_basis(x: Module, y: Module) -> List[ModuleMap]:
     """Basis of Hom_A(x, y), ordered deterministically by rref free columns.
 
     A matrix F is a map iff F @ rho_x(b_i) = rho_y(b_i) @ F for all i; with
-    row-major vec this is (I kron X_i^T - Y_i kron I) vec(F) = 0.
+    row-major vec this is (I kron X_i^T - Y_i kron I) vec(F) = 0, written in
+    place into one (n, dy, dx, dy, dx) array.
     """
     if not same_algebra(x.algebra, y.algebra):
         raise InvalidInput("hom endpoints live over different algebras")
@@ -142,12 +142,12 @@ def hom_basis(x: Module, y: Module) -> List[ModuleMap]:
     dx, dy = x.dim, y.dim
     if dx == 0 or dy == 0:
         return []
-    blocks = []
-    for i in range(x.algebra.dim):
-        blocks.append(np.kron(linalg.identity(dy), x.action[i].T)
-                      - np.kron(y.action[i], linalg.identity(dx)))
+    n = x.algebra.dim
+    stack = np.zeros((n, dy, dx, dy, dx), dtype=np.int64)
+    stack[:, np.arange(dy), :, np.arange(dy), :] = x.action.transpose(0, 2, 1)
+    stack[:, :, np.arange(dx), :, np.arange(dx)] -= y.action
     # entries lie in (-p, p); rref reduces the stack mod p once
-    kern = linalg.kernel_basis(np.vstack(blocks), p)
+    kern = linalg.kernel_basis(stack.reshape(n * dy * dx, dy * dx), p)
     return [ModuleMap(x, y, row.reshape(dy, dx)) for row in kern]
 
 
@@ -437,10 +437,8 @@ def simple_modules(a: Algebra) -> List[Module]:
     # pull back along A -> A/rad: b_i acts via its image in the quotient
     pulled = []
     for f in factors:
-        action = np.zeros((a.dim, f.dim, f.dim), dtype=np.int64)
-        for i in range(a.dim):
-            action[i] = f.act(proj[:, i])
-        pulled.append(validate_module(Module(a, f.dim, action)))
+        action = linalg.mat_mul(proj.T, f.action.reshape(q.dim, f.dim * f.dim), a.p)
+        pulled.append(validate_module(Module(a, f.dim, action.reshape(a.dim, f.dim, f.dim))))
     out: List[Module] = []
     for s in pulled:
         dup = False

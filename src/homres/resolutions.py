@@ -31,11 +31,9 @@ from .modules import (
     HomSpace,
     Module,
     ModuleMap,
-    direct_sum,
     hom_basis,
     identity_map,
     map_kernel,
-    regular_module,
     simple_modules,
 )
 
@@ -93,8 +91,9 @@ def free_cover(x: Module, strategy: str = "evaluation", seed: int = 0) -> Module
     elif strategy == "permuted":
         rng = np.random.default_rng(seed)
         gens = [int(g) for g in rng.permutation(x.dim)]
-    reg = regular_module(a)
-    free = direct_sum([reg] * len(gens), algebra=a).module
+    # A^g: the left multiplication matrices of A repeated down the diagonal
+    g = len(gens)
+    free = Module(a, g * a.dim, np.kron(linalg.identity(g), a.left_mult_matrices()))
     return ModuleMap(free, x, _cover_matrix(x, gens))
 
 

@@ -156,6 +156,11 @@ def test_cli_ill_typed_task_field_names_its_pointer(tmp_path, capsys, task, poin
      "/complexes/socle-seq/diffs/0"),
     ("suite", ["suite"], 3, "/suite"),
     ("suite", ["suite", "bound"], -1, "/suite/bound"),
+    ("gldim", ["algebras", "N"], {"kind": "quiver", "vertices": -1, "arrows": []},
+     "/algebras/N"),
+    ("gldim", ["algebras", "T"], {"kind": "table", "dim": 2,
+                                  "structure": [[0, 0, 0, 1], [1, 1, 1, 1]],
+                                  "unit": [[1, 1]]}, "/algebras/T"),
 ])
 def test_cli_ill_typed_workspace_field_names_its_pointer(tmp_path, capsys, command,
                                                          path, value, pointer):

@@ -86,15 +86,6 @@ def test_mat_pow():
     assert linalg.mat_pow(m, 0, 3).tolist() == [[1, 0], [0, 1]]
 
 
-def test_row_space_contains():
-    rows = np.array([[1, 2, 0], [0, 0, 1]], dtype=np.int64)
-    assert linalg.row_space_contains(rows, np.array([2, 4, 3]), 5)
-    assert not linalg.row_space_contains(rows, np.array([0, 1, 0]), 5)
-    empty = linalg.zeros(0, 3)
-    assert linalg.row_space_contains(empty, np.zeros(3, dtype=np.int64), 5)
-    assert not linalg.row_space_contains(empty, np.array([1, 0, 0]), 5)
-
-
 def test_determinism_bit_identical():
     rng = np.random.default_rng(2)
     m = rng.integers(0, 13, size=(5, 8))
