@@ -36,8 +36,12 @@ class Algebra:
     # the supplied radical is not yet shown to be all of rad A; radical_basis
     # proves it (A/radical semisimple) on first use
     radical_unproven: bool = False
+    # rows: a complete set of orthogonal primitive idempotents e_v, when known
+    idempotents: Optional[np.ndarray] = None
     _left: Optional[np.ndarray] = field(default=None, repr=False)
     _right: Optional[np.ndarray] = field(default=None, repr=False)
+    # the projectives A*e_v, one per idempotent, built by resolutions
+    _projectives: Optional[list] = field(default=None, repr=False)
 
     def __post_init__(self):
         linalg.check_modulus(self.p)
@@ -49,6 +53,8 @@ class Algebra:
             raise InvalidInput(f"unit has shape {self.unit.shape}, expected ({self.dim},)")
         if self.radical is not None:
             self.radical = _row_basis(self.radical, self.p, self.dim)
+        if self.idempotents is not None:
+            self.idempotents = linalg.as_matrix(self.idempotents, self.p, cols=self.dim)
 
     # -- multiplication helpers -------------------------------------------------
 
@@ -104,7 +110,34 @@ def validate_algebra(a: Algebra) -> Algebra:
         raise InvalidInput(f"associativity fails at triple {bad}")
     if a.radical is not None:
         validate_radical(a, a.radical)
+    if a.idempotents is not None:
+        _validate_idempotents(a)
     return a
+
+
+def _validate_idempotents(a: Algebra) -> None:
+    """Check e_v e_w = delta_vw e_v, e_v != 0 and sum e_v = 1.
+
+    Primitivity is the caller's promise: from_quiver's vertex idempotents
+    have it by construction, endomorphism_algebra's summand projections have
+    it because each summand's End ring is local.
+    """
+    p, n, e = a.p, a.dim, a.idempotents
+    if not np.array_equal(e.sum(axis=0) % p, a.unit):
+        raise InvalidInput("idempotents do not sum to the unit")
+    zero = np.flatnonzero(~e.any(axis=1))
+    if zero.size:
+        raise InvalidInput(f"idempotent {zero[0]} is zero")
+    # prods[v, w] = e_v * e_w, as in _ideal_closure_step
+    xs = linalg.mat_mul(e, a.mult.reshape(n, n * n), p).reshape(len(e), n, n)
+    prods = linalg.mat_mul(e, xs, p)
+    want = np.zeros_like(prods)
+    want[np.arange(len(e)), np.arange(len(e))] = e
+    bad = np.argwhere(np.any(prods != want, axis=2))
+    if bad.size:
+        v, w = (int(i) for i in bad[0])
+        raise InvalidInput(f"idempotents fail e{v} * e{w} = "
+                           + (f"e{v}" if v == w else "0"))
 
 
 def _unmultiplicative(a: Algebra, action: np.ndarray) -> Optional[Tuple[int, int, int]]:
@@ -248,7 +281,8 @@ def from_quiver(q: QuiverPresentation, p: int) -> Algebra:
         else:
             labels.append("*".join(f"a{ai}" for ai in reversed(seq)))
     a = Algebra(p=p, dim=dim, mult=mult, unit=unit, radical=radical,
-                simple_actions=simple_actions, labels=labels)
+                simple_actions=simple_actions, labels=labels,
+                idempotents=linalg.identity(dim)[:q.vertices])
     return validate_algebra(a)
 
 
@@ -258,8 +292,9 @@ def from_quiver(q: QuiverPresentation, p: int) -> Algebra:
 def opposite(a: Algebra) -> Algebra:
     """Opposite algebra: structure constants transposed in (i, j).
 
-    The radical subspace is the same and is carried over; 1-dimensional simple
-    actions (scalars commute) are carried over as well.
+    The radical subspace and the primitive idempotents are the same and are
+    carried over; 1-dimensional simple actions (scalars commute) are carried
+    over as well.
     """
     simple_actions = None
     if a.simple_actions is not None and all(s[0].shape == (1, 1) for s in a.simple_actions):
@@ -268,7 +303,8 @@ def opposite(a: Algebra) -> Algebra:
                    unit=a.unit.copy(),
                    radical=None if a.radical is None else a.radical.copy(),
                    simple_actions=simple_actions, labels=a.labels,
-                   radical_unproven=a.radical_unproven)
+                   radical_unproven=a.radical_unproven,
+                   idempotents=None if a.idempotents is None else a.idempotents.copy())
 
 
 def _ideal_closure_step(a: Algebra, rows: np.ndarray, other: np.ndarray) -> np.ndarray:

@@ -19,10 +19,10 @@ from .modules import (
     HomSpace,
     Module,
     ModuleMap,
-    direct_sum,
     hom_basis,
     identity_map,
     regular_module,
+    sum_module,
 )
 from .resolutions import EXCEEDS_BOUND, Resolution, _resolve, ext_dims
 
@@ -45,7 +45,7 @@ class AddCategory:
         self.algebra = a
 
     def sum_module(self) -> Module:
-        return direct_sum(self.summands).module
+        return sum_module(self.summands)
 
 
 @dataclass
@@ -68,7 +68,7 @@ def right_approximation(x: Module, c: AddCategory) -> Approximation:
     pieces = [m for m, basis in homs for _ in basis]
     piece_homs = [h for _, basis in homs for h in basis]
     matrix = np.hstack([linalg.zeros(x.dim, 0)] + [h.matrix for h in piece_homs])
-    f = ModuleMap(direct_sum(pieces, algebra=x.algebra).module, x, matrix % x.p)
+    f = ModuleMap(sum_module(pieces, algebra=x.algebra), x, matrix % x.p)
     for h in piece_homs:
         if _factor_through(h, f) is None:
             raise InternalError("approximation lifting contract failed")

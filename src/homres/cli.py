@@ -10,8 +10,8 @@ override the stored values.  Output is a single JSON document, written to
 stdout or --out, with sorted keys so runs are byte-identical.
 
 Exit codes: 0 success; 2 usage or workspace-schema error; 3 a hypothesis of
-the requested computation could not be witnessed; 4 internal invariant
-violation.
+the requested computation could not be witnessed, or the computation ran out
+of memory (status "out-of-memory"); 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -95,6 +95,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (InternalError, AssertionError) as e:
         _emit({"status": "internal-error", "reason": str(e)}, args.out)
         return 4
+    except MemoryError as e:
+        # a last resort: nothing bounds the work up front yet
+        _emit({"status": "out-of-memory", "reason": str(e) or "MemoryError"}, args.out)
+        return 3
     _emit(report, args.out)
     return 0
 

@@ -28,6 +28,7 @@ from .modules import (
     direct_sum,
     is_isomorphic,
     same_module,
+    sum_module,
 )
 from .resolutions import EXCEEDS_BOUND, gl_dim, inj_dim
 
@@ -90,7 +91,11 @@ def endomorphism_algebra(m: Module,
 
     When the declared indecomposable summands of m are supplied (their direct
     sum must equal m on the nose), rad B is derived from the block structure
-    and validated as a nilpotent ideal.
+    and validated as a nilpotent ideal, and B carries the summand projections
+    ι_j∘π_j as its primitive idempotents.  They are primitive because each
+    summand's End ring is local, the hypothesis the radical rests on too: a
+    decomposable summand puts its idempotents into the derived radical, which
+    then fails the nilpotency check with InvalidInput.
     """
     if m.dim == 0:
         raise InvalidInput("endomorphism algebra of the zero module is not supported")
@@ -99,13 +104,16 @@ def endomorphism_algebra(m: Module,
     # mult[i, j] = coordinates of f_j ∘ f_i
     mult = end.coords(end.stacked[None, :] @ end.stacked[:, None])
     unit = end.coords(linalg.identity(m.dim))
-    radical = None
+    radical = idempotents = None
     if summands is not None:
         ds = direct_sum(summands)
         if not same_module(ds.module, m):
             raise InvalidInput("declared summands do not sum to the module on the nose")
         radical = _radical_from_summands(ds, end)
-    b = Algebra(p=p, dim=len(end), mult=mult, unit=unit, radical=radical)
+        idempotents = end.coords(np.stack([
+            i.matrix @ q.matrix for i, q in zip(ds.injections, ds.projections)]))
+    b = Algebra(p=p, dim=len(end), mult=mult, unit=unit, radical=radical,
+                idempotents=idempotents)
     validate_algebra(b)  # also validates rad B when it was derived
     return EndoContext(m=m, b=b, basis_maps=end.basis, summands=summands)
 
@@ -159,7 +167,7 @@ def verify_theorem2(a: Algebra, t: Module, c: AddCategory, r: int,
     """
     if not same_algebra(t.algebra, a) or not same_algebra(c.algebra, a):
         raise InvalidInput("theorem inputs live over different algebras")
-    m_sum = direct_sum(c.summands).module
+    m_sum = sum_module(c.summands)
     ctx = endomorphism_algebra(m_sum, summands=c.summands)
     if bound is None:
         bound = max(2 * r, a.dim + ctx.b.dim)

@@ -18,11 +18,11 @@ from .endo import EndoContext, endomorphism_algebra
 from .errors import HypothesesNotSatisfied, InternalError, InvalidInput
 from .modules import (
     Module,
-    direct_sum,
     dual_module,
     is_isomorphic,
     map_kernel,
     regular_module,
+    sum_module,
     UNDECIDED,
 )
 from .resolutions import EXCEEDS_BOUND, ext_dims, gl_dim, inj_dim
@@ -115,7 +115,7 @@ def relative_auslander(a: Algebra, gp_list: List[Module],
     if not add_membership(reg, AddCategory(gp_list)):
         raise HypothesesNotSatisfied(
             "the projective indecomposables are not all represented in the list")
-    ctx = endomorphism_algebra(direct_sum(gp_list).module, summands=gp_list)
+    ctx = endomorphism_algebra(sum_module(gp_list), summands=gp_list)
     gldim_b = gl_dim(ctx.b, bound)
     return RelativeAuslanderReport(ctx=ctx, gorenstein_dimension=rep.dimension,
                                    gldim_b=gldim_b)

@@ -28,8 +28,8 @@ from .errors import HypothesesNotSatisfied, InvalidInput, NeedsFiniteInjdim
 from .gorenstein import cotilting_check, gp_membership, is_gorenstein, relative_auslander
 from .modules import Module, ModuleMap, regular_module
 from .resolutions import (
-    COVER_STRATEGIES,
     EXCEEDS_BOUND,
+    RESOLUTION_STRATEGIES,
     ext_dims,
     gl_dim,
     inj_dim,
@@ -155,9 +155,9 @@ def run_task(ws: WorkspaceDocument, task: dict,
     elif cmd == "resolve":
         m = ws.module(args.get("module", ""), f"{ptr}/module")
         strategy = args.get("strategy", "evaluation")
-        if strategy not in COVER_STRATEGIES:
+        if strategy not in RESOLUTION_STRATEGIES:
             raise WorkspaceError(f"{ptr}/strategy",
-                                 f"expected one of {list(COVER_STRATEGIES)}, got {strategy!r}")
+                                 f"expected one of {list(RESOLUTION_STRATEGIES)}, got {strategy!r}")
         res = projective_resolution(m, _int_arg(args, "length", b, ptr),
                                     strategy=strategy,
                                     seed=_int_arg(args, "seed", 0, ptr))

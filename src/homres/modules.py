@@ -256,35 +256,43 @@ class DirectSum:
     projections: List[ModuleMap]
 
 
-def direct_sum(xs: Sequence[Module], algebra: Optional[Algebra] = None) -> DirectSum:
-    """Block-diagonal sum with injection/projection maps (proj_i inj_j = delta_ij).
+def sum_module(xs: Sequence[Module], algebra: Optional[Algebra] = None) -> Module:
+    """The block-diagonal sum of xs, without the maps of direct_sum.
 
     The empty sum needs the algebra passed explicitly.
     """
     if not xs:
         if algebra is None:
             raise InvalidInput("empty direct sum needs an explicit algebra")
-        z = zero_module(algebra)
-        return DirectSum(z, [], [])
+        return zero_module(algebra)
     a = xs[0].algebra
     for x in xs[1:]:
         if not same_algebra(x.algebra, a):
             raise InvalidInput("direct sum terms live over different algebras")
     total = sum(x.dim for x in xs)
     action = np.zeros((a.dim, total, total), dtype=np.int64)
-    offs = []
     pos = 0
     for x in xs:
-        offs.append(pos)
         action[:, pos:pos + x.dim, pos:pos + x.dim] = x.action
         pos += x.dim
-    s = Module(a, total, action)
+    return Module(a, total, action)
+
+
+def direct_sum(xs: Sequence[Module], algebra: Optional[Algebra] = None) -> DirectSum:
+    """Block-diagonal sum with injection/projection maps (proj_i inj_j = delta_ij).
+
+    The empty sum needs the algebra passed explicitly.  A caller that reads
+    only the module calls sum_module, which builds no maps.
+    """
+    s = sum_module(xs, algebra)
     injections, projections = [], []
-    for x, off in zip(xs, offs):
-        inj = linalg.zeros(total, x.dim)
+    off = 0
+    for x in xs:
+        inj = linalg.zeros(s.dim, x.dim)
         inj[off:off + x.dim, :] = linalg.identity(x.dim)
         injections.append(ModuleMap(x, s, inj))
         projections.append(ModuleMap(s, x, inj.T.copy()))
+        off += x.dim
     return DirectSum(s, injections, projections)
 
 

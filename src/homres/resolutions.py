@@ -1,15 +1,24 @@
 """Projective resolutions, syzygies, Ext groups, and dimension functions.
 
-Resolutions use non-minimal free covers (an evaluation surjection from a free
-module on Nakayama generators, or on the underlying basis where rad A cannot
-be found); Schanuel's lemma makes every invariant computed here independent of
-that choice, and alternative cover strategies exist precisely so tests can
-confirm it.
+Over an algebra that knows a complete set of orthogonal primitive idempotents
+e_v (quiver algebras, their opposites, and B = (End ⊕ M_j)^op with declared
+summands) the "minimal" cover is the projective cover ⊕ A·e_v -> x, one
+summand per simple summand of top x, and the resolutions it builds are
+minimal.  Every other algebra has free covers A^g -> x: on the Nakayama
+generators of x ("evaluation"), or on its basis vectors where rad A cannot
+be found, doubled ("doubled") or in a seeded order ("permuted").  Schanuel's
+lemma makes every invariant computed here independent of the cover.
+proj_dim and ext_dims, and everything built on them, take the minimal cover
+wherever there are idempotents; projective_resolution keeps "evaluation" as
+its default, and the other strategies exist so that tests can confirm the
+independence.
 
-A module x is projective iff Tor_1(A/J, x) = 0 for J = rad A, which
-is_projective counts by dimensions on a Nakayama cover.  The criterion needs
-J to be the whole radical (a smaller nilpotent ideal can make Tor_1 vanish on
-a module that is not projective), so it asks radical_basis for J and raises
+A module x is projective iff its projective cover is an isomorphism,
+dim P(top x) = dim x, which is_projective tests where there are idempotents.
+Elsewhere it tests Tor_1(A/J, x) = 0 for J = rad A, counted by dimensions on
+a Nakayama cover.  Both criteria need J to be the whole radical (a smaller
+nilpotent ideal leaves too large a top, and can make Tor_1 vanish on a
+module that is not projective), so they ask radical_basis for J and raise
 UnsupportedField where no radical can be had.
 
 All dimension functions are bounded searches: they return EXCEEDS_BOUND
@@ -20,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -34,14 +43,28 @@ from .modules import (
     hom_basis,
     identity_map,
     map_kernel,
+    regular_module,
     simple_modules,
+    sum_module,
+    _submodule_on_rows,
 )
 
 EXCEEDS_BOUND = math.inf
 
+# the free covers of free_cover; projective_resolution also takes "minimal"
 COVER_STRATEGIES = ("evaluation", "doubled", "permuted")
+RESOLUTION_STRATEGIES = COVER_STRATEGIES + ("minimal",)
 
 INJDIM_HEADROOM = 3  # extra vanishing degrees demanded beyond the candidate
+
+
+def _rad_span(x: Module, rad: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+    """Reduced rows spanning rad·x, and their pivot columns."""
+    (m, n), d = rad.shape, x.dim
+    acts = linalg.mat_mul(rad, x.action.reshape(n, d * d), x.p).reshape(m, d, d)
+    # one row per column of each r·x: their span is rad·x
+    red, piv = linalg.rref(acts.transpose(0, 2, 1).reshape(m * d, d), x.p)
+    return red[:len(piv)], piv
 
 
 def _nakayama_generators(x: Module, rad: np.ndarray) -> List[int]:
@@ -50,12 +73,94 @@ def _nakayama_generators(x: Module, rad: np.ndarray) -> List[int]:
     They span a complement of rad·x, so by Nakayama's lemma they generate x
     when rad is rad A; there are dim x - rank(rad·x) of them.
     """
-    (m, n), d = rad.shape, x.dim
-    acts = linalg.mat_mul(rad, x.action.reshape(n, d * d), x.p).reshape(m, d, d)
-    # one row per column of each r·x: their span is rad·x
-    _, piv = linalg.rref(acts.transpose(0, 2, 1).reshape(m * d, d), x.p)
-    pivots = set(piv)
-    return [j for j in range(d) if j not in pivots]
+    pivots = set(_rad_span(x, rad)[1])
+    return [j for j in range(x.dim) if j not in pivots]
+
+
+def _vertex_projectives(a: Algebra) -> List[Tuple[np.ndarray, Module]]:
+    """(rows, P_v) for each idempotent e_v, cached on the algebra.
+
+    rows is a basis of A·e_v in A's coordinates and P_v the submodule of the
+    regular module on it.
+    """
+    if a._projectives is None:
+        n, reg = a.dim, regular_module(a)
+        right = a.mult.transpose(1, 0, 2).reshape(n, n * n)
+        a._projectives = []
+        for e in a.idempotents:
+            # row i is b_i·e_v, so the rows span A·e_v
+            red, piv = linalg.rref(linalg.mat_mul(e, right, a.p).reshape(n, n), a.p)
+            a._projectives.append((red[:len(piv)], _submodule_on_rows(reg, red[:len(piv)])))
+    return a._projectives
+
+
+def _top_generators(x: Module) -> List[Tuple[int, np.ndarray]]:
+    """Pairs (v, u), u in e_v·x, whose images form a basis of top x over A.
+
+    Greedy from the span S = rad·x: the first vector of e_v·x outside S is
+    picked, A·u is added to S, and so on until e_v·x lies in S, vertex by
+    vertex.  Modulo rad·x each A·u is a quotient of the simple top of A·e_v,
+    so each pick adds exactly one simple summand to S/rad·x.  Hence the
+    picks count the top's simples with multiplicity, also where End(S_v) is
+    larger than GF(p) or two idempotents have isomorphic tops, and
+    ⊕ A·e_v -> x, e_v |-> u, is the projective cover.
+    """
+    a, p = x.algebra, x.p
+    if a.idempotents is None:
+        raise UnsupportedField(
+            "the minimal cover needs the algebra's primitive idempotents")
+    span, piv = _rad_span(x, radical_basis(a))
+    (k, n), d = a.idempotents.shape, x.dim
+    # the rows of idem[v] span e_v·x
+    idem = linalg.mat_mul(a.idempotents, x.action.reshape(n, d * d), p).reshape(k, d, d)
+    gens = []
+    for v, cands in enumerate(idem.transpose(0, 2, 1)):
+        if len(piv) == d:
+            break
+        while True:
+            # a candidate reduced by the rref rows of S: zero iff it lies in S
+            resid = (cands - linalg.mat_mul(cands[:, piv], span, p)) % p
+            hit = np.flatnonzero(resid.any(axis=1))
+            if not hit.size:
+                break
+            u = cands[hit[0]]
+            gens.append((v, u))
+            span, piv = linalg.rref(np.vstack([span, (x.action @ u) % p]), p)
+            span = span[:len(piv)]
+    return gens
+
+
+def _cover_dim(a: Algebra, gens: List[Tuple[int, np.ndarray]]) -> int:
+    projs = _vertex_projectives(a)
+    return sum(projs[v][1].dim for v, _ in gens)
+
+
+def _projective_cover_on(x: Module, gens: List[Tuple[int, np.ndarray]]) -> ModuleMap:
+    """⊕ A·e_v -> x sending e_v in the i-th summand to the i-th u of gens."""
+    projs = _vertex_projectives(x.algebra)
+    # a·e_v |-> a·u: column k of a block is sum_i rows[k, i] b_i·u
+    blocks = [linalg.mat_mul(projs[v][0], (x.action @ u) % x.p, x.p).T for v, u in gens]
+    source = sum_module([projs[v][1] for v, _ in gens], x.algebra)
+    return ModuleMap(source, x, np.hstack([linalg.zeros(x.dim, 0)] + blocks))
+
+
+def projective_cover(x: Module) -> ModuleMap:
+    """The projective cover ⊕ A·e_v -> x, one summand per simple summand of
+    top x; UnsupportedField over an algebra without idempotents."""
+    return _projective_cover_on(x, _top_generators(x))
+
+
+def _minimal_cover(x: Module):
+    """The projective cover of x, or None when x is projective."""
+    gens = _top_generators(x)
+    if _cover_dim(x.algebra, gens) == x.dim:
+        return None
+    return _projective_cover_on(x, gens)
+
+
+def _cover_strategy(a: Algebra) -> str:
+    """The cover the dimension functions resolve with over a."""
+    return "evaluation" if a.idempotents is None else "minimal"
 
 
 def _cover_matrix(x: Module, gens: List[int]) -> np.ndarray:
@@ -98,6 +203,19 @@ def free_cover(x: Module, strategy: str = "evaluation", seed: int = 0) -> Module
 
 
 def is_projective(x: Module) -> bool:
+    """True iff x is projective.
+
+    Where the algebra has idempotents: iff the projective cover is an
+    isomorphism, dim P(top x) = dim x.  Elsewhere by _tor1_vanishes.
+    """
+    if x.dim == 0:
+        return True
+    if x.algebra.idempotents is not None:
+        return _cover_dim(x.algebra, _top_generators(x)) == x.dim
+    return _tor1_vanishes(x)
+
+
+def _tor1_vanishes(x: Module) -> bool:
     """True iff Tor_1(A/J, x) = 0 for J = rad A.
 
     Over a finite-dimensional algebra a finitely generated module is
@@ -110,8 +228,6 @@ def is_projective(x: Module) -> bool:
     whose rows are independent), so Tor_1 vanishes iff
     dim K - dim JK = g(n - m) - g.
     """
-    if x.dim == 0:
-        return True
     a = x.algebra
     rad = radical_basis(a)
     m, n = rad.shape
@@ -188,7 +304,13 @@ def _resolve(x: Module, length: int, kind: str, cover) -> Resolution:
 
 def projective_resolution(x: Module, length: int,
                           strategy: str = "evaluation", seed: int = 0) -> Resolution:
-    """Free resolution of x out to the given length, by free covers."""
+    """Projective resolution of x out to the given length.
+
+    "minimal" resolves by projective covers, and raises UnsupportedField over
+    an algebra without idempotents; the other strategies by free_cover.
+    """
+    if strategy == "minimal":
+        return _resolve(x, length, "projective", _minimal_cover)
     return _resolve(x, length, "projective",
                     lambda y: None if is_projective(y) else free_cover(y, strategy, seed))
 
@@ -247,10 +369,10 @@ def _cohomology(dims: List[int], deltas: List[np.ndarray], p: int) -> List[int]:
 
 
 def ext_dims(x: Module, y: Module, max_i: int) -> ExtTable:
-    """dim Ext^i(x, y) for 0 <= i <= max_i via the Hom complex of a free resolution."""
+    """dim Ext^i(x, y) for 0 <= i <= max_i via the Hom complex of a projective resolution."""
     if max_i < 0:
         raise InvalidInput("max_i must be >= 0")
-    res = projective_resolution(x, max_i + 1)
+    res = projective_resolution(x, max_i + 1, strategy=_cover_strategy(x.algebra))
     L = res.length
     homs = {i: hom_basis(res.terms[i], y) if i <= L else []
             for i in range(max_i + 2)}
@@ -263,7 +385,7 @@ def ext_dims(x: Module, y: Module, max_i: int) -> ExtTable:
 
 def proj_dim(x: Module, bound: int):
     """Least n <= bound with the n-th syzygy projective, else EXCEEDS_BOUND."""
-    res = projective_resolution(x, bound)
+    res = projective_resolution(x, bound, strategy=_cover_strategy(x.algebra))
     return res.length if res.complete else EXCEEDS_BOUND
 
 

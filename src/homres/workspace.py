@@ -44,10 +44,10 @@ from .errors import HomresError, InvalidInput
 from .modules import (
     Module,
     ModuleMap,
-    direct_sum,
     dual_module,
     regular_module,
     simple_modules,
+    sum_module,
     validate_module,
 )
 
@@ -173,7 +173,7 @@ def _build_module(name: str, spec: dict, ws: WorkspaceDocument) -> Module:
             return dual_module(regular_module(opposite(a)))
         if kind == "sum":
             parts = [ws.module(n, f"{ptr}/of") for n in spec["of"]]
-            return direct_sum(parts, algebra=a).module
+            return sum_module(parts, algebra=a)
         if kind == "table":
             action = _int_array(_field(spec, "action", ptr), f"{ptr}/action")
             return validate_module(Module(a, _field(spec, "dim", ptr, "an integer"), action))

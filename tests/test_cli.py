@@ -265,3 +265,41 @@ def test_cli_table_algebra_without_radical_at_small_p(tmp_path, capsys, command)
     code, out = run_cli(capsys, command, "--workspace", ws)
     assert code == 3
     assert "needs a supplied basis" in json.loads(out)["reason"]
+
+
+@pytest.mark.parametrize("out_file", [False, True])
+def test_cli_out_of_memory_exits_3_with_a_body(tmp_path, capsys, monkeypatch, out_file):
+    import homres.cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 576. MiB for an array")
+
+    monkeypatch.setattr(homres.cli, "run_task", exhausted)
+    argv = ["gldim", "--workspace", KX2]
+    if out_file:
+        argv += ["--out", str(tmp_path / "report.json")]
+    code, out = run_cli(capsys, *argv)
+    assert code == 3
+    body = json.loads((tmp_path / "report.json").read_text() if out_file else out)
+    assert body == {"status": "out-of-memory",
+                    "reason": "Unable to allocate 576. MiB for an array"}
+
+
+def test_cli_minimal_resolution_needs_idempotents(tmp_path, capsys):
+    # a quiver algebra knows its vertex idempotents; a table algebra does not
+    with open(bundled_workspace_path("a2-hereditary"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["tasks"] = [{"cmd": "resolve", "module": "s0", "strategy": "minimal"}]
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "resolve", "--workspace", str(path))
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["terms"], rep["projdim"]) == ([2, 1], 1)
+    ws = _table_workspace(tmp_path, dict(_PRODUCT, radical=[]))
+    doc = json.loads((tmp_path / "table.json").read_text())
+    doc["tasks"] = [{"cmd": "resolve", "module": "reg", "strategy": "minimal"}]
+    (tmp_path / "table.json").write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "resolve", "--workspace", ws)
+    assert code == 3
+    assert "idempotents" in json.loads(out)["reason"]

@@ -173,10 +173,10 @@ def test_verify_theorem2_one_directional_mode():
     assert rep.verdict
 
 
-# Builds the two frontier Theorem-2 rungs and prints (inj.dim T, gl.dim B,
-# verdict, dim B) for each: the Auslander algebra of k[x]/(x^4) (its four
-# uniserial modules k[x]/(x^i), T = A) and rad^2-zero A_4 (all seven
-# indecomposables, T = D(A)).
+# Builds the frontier Theorem-2 rungs and prints (inj.dim T, gl.dim B,
+# verdict, dim B) for each: the Auslander algebras of k[x]/(x^n), n = 4, 5
+# (its n uniserial modules k[x]/(x^i), T = A), and of rad^2-zero A_m,
+# m = 4, 5 (all 2m - 1 indecomposables, T = D(A)).
 _FRONTIER_RUNGS = """
 import json
 import numpy as np
@@ -187,30 +187,35 @@ from homres.modules import (Module, dual_module, regular_module,
                             simple_modules, validate_module)
 
 p = 2
-a = from_quiver(QuiverPresentation(vertices=1, arrows=[(0, 0)],
-                                   relations=[(0, 0, 0, 0)]), p)
-uniserial = []
-for i in range(1, 5):
-    act = np.zeros((a.dim, i, i), dtype=np.int64)
-    for k in range(a.dim):  # x^k shifts u_j to u_{j+k}
-        for j in range(i - k):
-            act[k, j + k, j] = 1
-    uniserial.append(validate_module(Module(a, i, act)))
-rungs = [(a, regular_module(a), uniserial)]
 
-m = 4
-a = from_quiver(QuiverPresentation(
-    vertices=m, arrows=[(i, i + 1) for i in range(m - 1)],
-    relations=[(i, i + 1) for i in range(m - 2)]), p)
-reg = regular_module(a)
-indec = list(simple_modules(a))
-for v in range(m - 1):
-    idx = [v, m + v]  # e_v and the arrow leaving v span A e_v
-    indec.append(validate_module(Module(a, 2, reg.action[:, idx][:, :, idx])))
-rungs.append((a, dual_module(regular_module(opposite(a))), indec))
+
+def uniserial(n):
+    a = from_quiver(QuiverPresentation(vertices=1, arrows=[(0, 0)],
+                                       relations=[(0,) * n]), p)
+    mods = []
+    for i in range(1, n + 1):
+        act = np.zeros((a.dim, i, i), dtype=np.int64)
+        for k in range(a.dim):  # x^k shifts u_j to u_{j+k}
+            for j in range(i - k):
+                act[k, j + k, j] = 1
+        mods.append(validate_module(Module(a, i, act)))
+    return a, regular_module(a), mods
+
+
+def linear(m):
+    a = from_quiver(QuiverPresentation(
+        vertices=m, arrows=[(i, i + 1) for i in range(m - 1)],
+        relations=[(i, i + 1) for i in range(m - 2)]), p)
+    reg = regular_module(a)
+    indec = list(simple_modules(a))
+    for v in range(m - 1):
+        idx = [v, m + v]  # e_v and the arrow leaving v span A e_v
+        indec.append(validate_module(Module(a, 2, reg.action[:, idx][:, :, idx])))
+    return a, dual_module(regular_module(opposite(a))), indec
+
 
 out = []
-for a, t, mods in rungs:
+for a, t, mods in (uniserial(4), linear(4), uniserial(5), linear(5)):
     rep = verify_theorem2(a, t, AddCategory(mods), 2)
     out.append([rep.injdim_t, rep.gldim_b, rep.verdict, rep.b_dim])
 print(json.dumps(out))
@@ -223,7 +228,8 @@ def _cap_address_space():
 
 
 def test_verify_theorem2_frontier_rungs_under_1gb():
-    # is_projective builds no Hom(x, A) system, so both rungs fit in 1 GB
+    # minimal resolutions over B keep every term within P(top x), so all
+    # four rungs fit in 1 GB
     src = os.path.dirname(os.path.dirname(os.path.abspath(homres.__file__)))
     env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -231,4 +237,5 @@ def test_verify_theorem2_frontier_rungs_under_1gb():
                           capture_output=True, text=True, timeout=600,
                           preexec_fn=_cap_address_space)
     assert done.returncode == 0, done.stderr[-2000:]
-    assert json.loads(done.stdout) == [[0, 2, True, 30], [0, 2, True, 15]]
+    assert json.loads(done.stdout) == [[0, 2, True, 30], [0, 2, True, 15],
+                                       [0, 2, True, 55], [0, 2, True, 20]]
