@@ -196,14 +196,14 @@ class HomSpace:
         lead = matrices.shape[:-2]
         vecs = matrices.reshape(int(np.prod(lead)), self._rows.shape[1])
         coeffs = vecs[:, self._free]
-        if not np.array_equal((coeffs @ self._rows) % self.p, vecs):
+        if not np.array_equal(linalg.mat_mul(coeffs, self._rows, self.p), vecs):
             raise InternalError("a map escaped its Hom basis")
         return coeffs.reshape(lead + (len(self.basis),))
 
     def combine(self, coeffs: np.ndarray) -> np.ndarray:
         """Matrix of the map with the given coordinates."""
-        coeffs = np.asarray(coeffs, dtype=np.int64).reshape(-1)
-        return np.einsum("c,cab->ab", coeffs, self.stacked) % self.p
+        coeffs = np.asarray(coeffs, dtype=np.int64).reshape(-1) % self.p
+        return linalg.mat_mul(coeffs, self._rows, self.p).reshape(self.stacked.shape[1:])
 
 
 def _nonzero_vectors(h: int, p: int) -> Iterator[np.ndarray]:

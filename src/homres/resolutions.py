@@ -21,6 +21,11 @@ nilpotent ideal leaves too large a top, and can make Tor_1 vanish on a
 module that is not projective), so they ask radical_basis for J and raise
 UnsupportedField where no radical can be had.
 
+inj.dim t = pd_{A^op} D t for D t = Hom_k(t, k): D is an exact duality that
+swaps injective A-modules and projective A^op-modules (Auslander-Reiten-
+Smalø, ch. II).  So inj_dim resolves one module over opposite(A), and gets
+the least r with Ext^{r+1}(S, t) = 0 for every simple S.
+
 All dimension functions are bounded searches: they return EXCEEDS_BOUND
 (serialized as "exceeds-bound") instead of looping forever.
 """
@@ -40,6 +45,7 @@ from .modules import (
     HomSpace,
     Module,
     ModuleMap,
+    dual_module,
     hom_basis,
     identity_map,
     map_kernel,
@@ -54,8 +60,6 @@ EXCEEDS_BOUND = math.inf
 # the free covers of free_cover; projective_resolution also takes "minimal"
 COVER_STRATEGIES = ("evaluation", "doubled", "permuted")
 RESOLUTION_STRATEGIES = COVER_STRATEGIES + ("minimal",)
-
-INJDIM_HEADROOM = 3  # extra vanishing degrees demanded beyond the candidate
 
 
 def _rad_span(x: Module, rad: np.ndarray) -> Tuple[np.ndarray, List[int]]:
@@ -125,7 +129,7 @@ def _top_generators(x: Module) -> List[Tuple[int, np.ndarray]]:
                 break
             u = cands[hit[0]]
             gens.append((v, u))
-            span, piv = linalg.rref(np.vstack([span, (x.action @ u) % p]), p)
+            span, piv = linalg.rref(np.vstack([span, linalg.mat_mul(x.action, u, p)]), p)
             span = span[:len(piv)]
     return gens
 
@@ -139,7 +143,7 @@ def _projective_cover_on(x: Module, gens: List[Tuple[int, np.ndarray]]) -> Modul
     """⊕ A·e_v -> x sending e_v in the i-th summand to the i-th u of gens."""
     projs = _vertex_projectives(x.algebra)
     # a·e_v |-> a·u: column k of a block is sum_i rows[k, i] b_i·u
-    blocks = [linalg.mat_mul(projs[v][0], (x.action @ u) % x.p, x.p).T for v, u in gens]
+    blocks = [linalg.mat_mul(projs[v][0], linalg.mat_mul(x.action, u, x.p), x.p).T for v, u in gens]
     source = sum_module([projs[v][1] for v, _ in gens], x.algebra)
     return ModuleMap(source, x, np.hstack([linalg.zeros(x.dim, 0)] + blocks))
 
@@ -309,6 +313,8 @@ def projective_resolution(x: Module, length: int,
     "minimal" resolves by projective covers, and raises UnsupportedField over
     an algebra without idempotents; the other strategies by free_cover.
     """
+    if strategy not in RESOLUTION_STRATEGIES:
+        raise InvalidInput(f"unknown cover strategy {strategy!r}")
     if strategy == "minimal":
         return _resolve(x, length, "projective", _minimal_cover)
     return _resolve(x, length, "projective",
@@ -354,7 +360,7 @@ def _hom_complex_delta(res: Resolution, y: Module, i: int,
     """
     hi = HomSpace(res.terms[i], y, homs[i])
     hj = HomSpace(res.terms[i + 1], y, homs[i + 1])
-    return hj.coords(hi.stacked @ res.maps[i + 1].matrix).T
+    return hj.coords(linalg.mat_mul(hi.stacked, res.maps[i + 1].matrix, y.p)).T
 
 
 def _cohomology(dims: List[int], deltas: List[np.ndarray], p: int) -> List[int]:
@@ -390,24 +396,14 @@ def proj_dim(x: Module, bound: int):
 
 
 def inj_dim(t: Module, bound: int):
-    """Least r <= bound with Ext^i(S, t) = 0 for every simple S and
-    r+1 <= i <= r+1+INJDIM_HEADROOM, else EXCEEDS_BOUND.
+    """inj.dim t = pd_{A^op} D t when it is <= bound, else EXCEEDS_BOUND.
 
-    Vanishing of Ext^{r+1}(-, t) on simples propagates to all finite-length
-    modules by induction on length, so r bounds the injective dimension; the
-    INJDIM_HEADROOM extra degrees guard against bookkeeping slips at no
-    asymptotic cost.
+    D = Hom_k(-, k) turns an injective coresolution of t into a projective
+    resolution of D t of the same length, as it swaps injectives and
+    projectives (Auslander-Reiten-Smalø, ch. II).  The value is the least r
+    with Ext^{r+1}(S, t) = 0 for every simple S.
     """
-    if t.dim == 0:
-        return 0
-    sims = simple_modules(t.algebra)
-    top = bound + 1 + INJDIM_HEADROOM
-    tables = [ext_dims(s, t, top).dims for s in sims]
-    for r in range(bound + 1):
-        if all(all(d[i] == 0 for i in range(r + 1, r + 2 + INJDIM_HEADROOM))
-               for d in tables):
-            return r
-    return EXCEEDS_BOUND
+    return 0 if t.dim == 0 else proj_dim(dual_module(t), bound)
 
 
 def gl_dim(a: Algebra, bound: int):

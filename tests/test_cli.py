@@ -303,3 +303,24 @@ def test_cli_minimal_resolution_needs_idempotents(tmp_path, capsys):
     code, out = run_cli(capsys, "resolve", "--workspace", ws)
     assert code == 3
     assert "idempotents" in json.loads(out)["reason"]
+
+
+@pytest.mark.parametrize("algebra, code, expect", [
+    (dict(_DUAL, radical=[]), 2, "is not rad A"),
+    (dict(_truncated_polynomial(17), radical=[]), 3, None),
+    (dict(_DUAL, radical=[[0, 1]]), 0, 0),
+    (dict(_PRODUCT, radical=[]), 0, 0),
+    (_DUAL, 3, "needs a supplied basis"),
+])
+def test_cli_injdim_certifies_the_radical_on_the_opposite(tmp_path, capsys, algebra,
+                                                          code, expect):
+    # inj_dim resolves D(reg) over T^op, which carries T's radical and its
+    # certificate obligation
+    ws = _table_workspace(tmp_path, algebra)
+    got, out = run_cli(capsys, "injdim", "--workspace", ws)
+    assert got == code
+    body = json.loads(out)
+    if code == 0:
+        assert body["injdim"] == expect
+    elif expect is not None:
+        assert expect in body["reason"]

@@ -306,3 +306,12 @@ def test_supplied_radical_at_small_p_is_certified_on_first_use():
     b = _dual_numbers_table(2, radical=[[0, 1]])
     assert is_projective(regular_module(b))
     assert not b.radical_unproven
+
+
+@pytest.mark.parametrize("which", ["regular", "simple"])
+def test_projective_resolution_checks_the_strategy_before_the_first_cover(which):
+    # the regular module needs no cover at all, and is still refused
+    a = two_vertex_line(2)
+    x = regular_module(a) if which == "regular" else simple_modules(a)[0]
+    with pytest.raises(InvalidInput, match="unknown cover strategy 'bogus'"):
+        projective_resolution(x, 3, strategy="bogus")
