@@ -42,6 +42,8 @@ class Algebra:
     _right: Optional[np.ndarray] = field(default=None, repr=False)
     # the projectives A*e_v, one per idempotent, built by resolutions
     _projectives: Optional[list] = field(default=None, repr=False)
+    # opposite(self), built on first use
+    _opposite: Optional["Algebra"] = field(default=None, repr=False)
 
     def __post_init__(self):
         linalg.check_modulus(self.p)
@@ -294,17 +296,21 @@ def opposite(a: Algebra) -> Algebra:
 
     The radical subspace and the primitive idempotents are the same and are
     carried over; 1-dimensional simple actions (scalars commute) are carried
-    over as well.
+    over as well.  Built once and cached on a, so its projectives and its
+    radical certificate are too.
     """
-    simple_actions = None
-    if a.simple_actions is not None and all(s[0].shape == (1, 1) for s in a.simple_actions):
-        simple_actions = a.simple_actions
-    return Algebra(p=a.p, dim=a.dim, mult=np.transpose(a.mult, (1, 0, 2)).copy(),
-                   unit=a.unit.copy(),
-                   radical=None if a.radical is None else a.radical.copy(),
-                   simple_actions=simple_actions, labels=a.labels,
-                   radical_unproven=a.radical_unproven,
-                   idempotents=None if a.idempotents is None else a.idempotents.copy())
+    if a._opposite is None:
+        simple_actions = None
+        if a.simple_actions is not None and all(s[0].shape == (1, 1)
+                                                for s in a.simple_actions):
+            simple_actions = a.simple_actions
+        a._opposite = Algebra(
+            p=a.p, dim=a.dim, mult=np.transpose(a.mult, (1, 0, 2)).copy(),
+            unit=a.unit.copy(), radical=None if a.radical is None else a.radical.copy(),
+            simple_actions=simple_actions, labels=a.labels,
+            radical_unproven=a.radical_unproven,
+            idempotents=None if a.idempotents is None else a.idempotents.copy())
+    return a._opposite
 
 
 def _ideal_closure_step(a: Algebra, rows: np.ndarray, other: np.ndarray) -> np.ndarray:

@@ -64,7 +64,7 @@ def _singular_hom_subspace(space: HomSpace) -> np.ndarray:
 def _radical_from_summands(m_sum, end: HomSpace) -> np.ndarray:
     """Radical of End(⊕ M_i) in basis coordinates, from the block structure."""
     rows = []
-    n = len(m_sum.injections)
+    p, n = end.p, len(m_sum.injections)
     summands = [inj.source for inj in m_sum.injections]
     for i in range(n):
         for j in range(n):
@@ -77,11 +77,12 @@ def _radical_from_summands(m_sum, end: HomSpace) -> np.ndarray:
             else:
                 block_rows = linalg.identity(len(hij))
             for r in block_rows:
-                rows.append(end.coords(m_sum.injections[j].matrix @ hij.combine(r)
-                                       @ m_sum.projections[i].matrix))
+                into_j = linalg.mat_mul(m_sum.injections[j].matrix, hij.combine(r), p)
+                rows.append(end.coords(
+                    linalg.mat_mul(into_j, m_sum.projections[i].matrix, p)))
     if not rows:
         return linalg.zeros(0, len(end))
-    red, piv = linalg.rref(np.array(rows, dtype=np.int64), end.p)
+    red, piv = linalg.rref(np.array(rows, dtype=np.int64), p)
     return red[:len(piv)]
 
 
@@ -102,7 +103,7 @@ def endomorphism_algebra(m: Module,
     p = m.p
     end = HomSpace(m, m)
     # mult[i, j] = coordinates of f_j ∘ f_i
-    mult = end.coords(end.stacked[None, :] @ end.stacked[:, None])
+    mult = end.coords(linalg.mat_mul(end.stacked[None, :], end.stacked[:, None], p))
     unit = end.coords(linalg.identity(m.dim))
     radical = idempotents = None
     if summands is not None:
@@ -110,8 +111,8 @@ def endomorphism_algebra(m: Module,
         if not same_module(ds.module, m):
             raise InvalidInput("declared summands do not sum to the module on the nose")
         radical = _radical_from_summands(ds, end)
-        idempotents = end.coords(np.stack([
-            i.matrix @ q.matrix for i, q in zip(ds.injections, ds.projections)]))
+        idempotents = end.coords(np.stack([linalg.mat_mul(i.matrix, q.matrix, p)
+                                           for i, q in zip(ds.injections, ds.projections)]))
     b = Algebra(p=p, dim=len(end), mult=mult, unit=unit, radical=radical,
                 idempotents=idempotents)
     validate_algebra(b)  # also validates rad B when it was derived
@@ -125,7 +126,8 @@ def hom_functor(ctx: EndoContext, x: Module) -> Module:
     hx = HomSpace(ctx.m, x)
     ends = np.stack([f.matrix for f in ctx.basis_maps])
     # action[i][:, c] = coordinates of phi_c ∘ f_i
-    action = hx.coords(hx.stacked[None, :] @ ends[:, None]).transpose(0, 2, 1)
+    action = hx.coords(linalg.mat_mul(hx.stacked[None, :], ends[:, None], hx.p)
+                       ).transpose(0, 2, 1)
     return Module(ctx.b, len(hx), action)
 
 
@@ -133,7 +135,7 @@ def hom_functor_map(ctx: EndoContext, f: ModuleMap) -> ModuleMap:
     """Hom_A(M, f): postcomposition, expressed in the chosen Hom bases."""
     hx = HomSpace(ctx.m, f.source)
     hy = HomSpace(ctx.m, f.target)
-    mat = hy.coords(f.matrix @ hx.stacked).T
+    mat = hy.coords(linalg.mat_mul(f.matrix, hx.stacked, f.p)).T
     return ModuleMap(hom_functor(ctx, f.source), hom_functor(ctx, f.target), mat)
 
 

@@ -170,14 +170,12 @@ class HomSpace:
 
     The basis rows are kernel_basis rows, which restricted to the rref free
     columns form the identity: a map's coordinates are its entries at those
-    columns, read off without elimination.  A caller that already holds
-    hom_basis(x, y) passes it as basis.
+    columns, read off without elimination.
     """
 
-    def __init__(self, x: Module, y: Module,
-                 basis: Optional[List[ModuleMap]] = None):
+    def __init__(self, x: Module, y: Module):
         self.p = x.p
-        self.basis = hom_basis(x, y) if basis is None else basis
+        self.basis = hom_basis(x, y)
         self.stacked = np.array([b.matrix for b in self.basis], dtype=np.int64).reshape(
             len(self.basis), y.dim, x.dim)
         self._rows = self.stacked.reshape(len(self.basis), y.dim * x.dim)

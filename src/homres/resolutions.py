@@ -353,14 +353,13 @@ class ExtTable:
 
 
 def _hom_complex_delta(res: Resolution, y: Module, i: int,
-                       homs: dict) -> np.ndarray:
+                       spaces: List[HomSpace]) -> np.ndarray:
     """Matrix of delta^i : Hom(T_i, y) -> Hom(T_{i+1}, y), f |-> f o d_{i+1}.
 
-    homs[j] is hom_basis(T_j, y).
+    spaces[j] is HomSpace(T_j, y).
     """
-    hi = HomSpace(res.terms[i], y, homs[i])
-    hj = HomSpace(res.terms[i + 1], y, homs[i + 1])
-    return hj.coords(linalg.mat_mul(hi.stacked, res.maps[i + 1].matrix, y.p)).T
+    return spaces[i + 1].coords(
+        linalg.mat_mul(spaces[i].stacked, res.maps[i + 1].matrix, y.p)).T
 
 
 def _cohomology(dims: List[int], deltas: List[np.ndarray], p: int) -> List[int]:
@@ -379,11 +378,11 @@ def ext_dims(x: Module, y: Module, max_i: int) -> ExtTable:
     if max_i < 0:
         raise InvalidInput("max_i must be >= 0")
     res = projective_resolution(x, max_i + 1, strategy=_cover_strategy(x.algebra))
-    L = res.length
-    homs = {i: hom_basis(res.terms[i], y) if i <= L else []
-            for i in range(max_i + 2)}
-    deltas = [_hom_complex_delta(res, y, i, homs) for i in range(min(max_i + 1, L))]
-    dims = _cohomology([len(homs[i]) for i in range(max_i + 1)], deltas, y.p)
+    spaces = [HomSpace(t, y) for t in res.terms]  # at most max_i + 2 terms
+    deltas = [_hom_complex_delta(res, y, i, spaces)
+              for i in range(min(max_i + 1, res.length))]
+    hom_dims = [len(s) for s in spaces] + [0] * (max_i + 1)
+    dims = _cohomology(hom_dims[:max_i + 1], deltas, y.p)
     if dims[0] != len(hom_basis(x, y)):
         raise InternalError("Ext^0 disagrees with the hom space")
     return ExtTable(x, y, dims, max_i)

@@ -32,6 +32,7 @@ Validation failures carry a JSON-pointer-style location.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -87,12 +88,14 @@ class WorkspaceDocument:
 
 
 _REQUIRED = object()
-_JSON_TYPES = {"an integer": int, "a string": str, "a list": list, "an object": dict}
+_JSON_TYPES = {"an integer": int, "a string": str, "a list": list, "an object": dict,
+               "true or false": bool}
 
 
 def _typed(value, kind: str, pointer: str):
     """value, if it has the JSON type kind (a key of _JSON_TYPES)."""
-    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+    expected = _JSON_TYPES[kind]
+    if not isinstance(value, expected) or (isinstance(value, bool) and expected is not bool):
         raise WorkspaceError(pointer, f"expected {kind}, got {value!r}")
     return value
 
@@ -105,6 +108,17 @@ def _field(doc: dict, key: str, pointer: str, kind: Optional[str] = None,
             raise WorkspaceError(f"{pointer}/{key}", "missing required field")
         return default
     return doc[key] if kind is None else _typed(doc[key], kind, f"{pointer}/{key}")
+
+
+@contextmanager
+def _located(pointer: str, *errors):
+    """Re-raise a HomresError (or one of errors) of the block at pointer."""
+    try:
+        yield
+    except WorkspaceError:
+        raise
+    except (HomresError,) + errors as e:
+        raise WorkspaceError(pointer, str(e)) from e
 
 
 def _int_list(value, pointer: str, length: Optional[int] = None) -> tuple:
@@ -131,7 +145,7 @@ def _build_algebra(name: str, spec: dict, p: int) -> Algebra:
     ptr = f"/algebras/{name}"
     _typed(spec, "an object", ptr)
     kind = _field(spec, "kind", ptr)
-    try:
+    with _located(ptr):
         if kind == "quiver":
             q = QuiverPresentation(
                 vertices=_field(spec, "vertices", ptr, "an integer"),
@@ -148,10 +162,6 @@ def _build_algebra(name: str, spec: dict, p: int) -> Algebra:
                  for j, e in enumerate(_field(spec, "structure", ptr, "a list"))],
                 _int_array(_field(spec, "unit", ptr), f"{ptr}/unit"),
                 radical=None if radical is None else _int_array(radical, f"{ptr}/radical"))
-    except WorkspaceError:
-        raise
-    except HomresError as e:
-        raise WorkspaceError(ptr, str(e)) from e
     raise WorkspaceError(f"{ptr}/kind", f"unknown algebra kind {kind!r}")
 
 
@@ -159,7 +169,7 @@ def _build_module(name: str, spec: dict, ws: WorkspaceDocument) -> Module:
     ptr = f"/modules/{name}"
     a = ws.algebra(_field(spec, "algebra", ptr), f"{ptr}/algebra")
     kind = spec.get("kind", "table")
-    try:
+    with _located(ptr):
         if kind == "regular":
             return regular_module(a)
         if kind == "simple":
@@ -177,10 +187,6 @@ def _build_module(name: str, spec: dict, ws: WorkspaceDocument) -> Module:
         if kind == "table":
             action = _int_array(_field(spec, "action", ptr), f"{ptr}/action")
             return validate_module(Module(a, _field(spec, "dim", ptr, "an integer"), action))
-    except WorkspaceError:
-        raise
-    except HomresError as e:
-        raise WorkspaceError(ptr, str(e)) from e
     raise WorkspaceError(f"{ptr}/kind", f"unknown module kind {kind!r}")
 
 
@@ -194,14 +200,10 @@ def _build_complex(name: str, spec: dict, ws: WorkspaceDocument) -> Complex:
         raise WorkspaceError(f"{ptr}/diffs",
                              f"expected {max(len(terms) - 1, 0)} differentials")
     lo = _field(spec, "lo", ptr, "an integer")
-    try:
+    with _located(ptr):
         diffs = [ModuleMap(terms[i], terms[i + 1], _int_array(d, f"{ptr}/diffs/{i}"))
                  for i, d in enumerate(raw_diffs)]
         return Complex(a, lo, terms, diffs)
-    except WorkspaceError:
-        raise
-    except HomresError as e:
-        raise WorkspaceError(ptr, str(e)) from e
 
 
 def load_workspace(path: str) -> WorkspaceDocument:
@@ -219,10 +221,8 @@ def parse_workspace(raw: dict) -> WorkspaceDocument:
     if not isinstance(raw, dict):
         raise WorkspaceError("/", "workspace root must be an object")
     p = _field(raw, "p", "")
-    try:
+    with _located("/p"):
         linalg.check_modulus(p)
-    except HomresError as e:
-        raise WorkspaceError("/p", str(e)) from e
     suite = raw.get("suite")
     if suite is not None:
         _typed(suite, "an object", "/suite")

@@ -26,6 +26,7 @@ from homres.complexes import (
 from homres.endo import endomorphism_algebra, hom_functor, verify_theorem2
 from homres.gorenstein import is_gorenstein
 from homres.modules import (
+    HomSpace,
     Module,
     ModuleMap,
     direct_sum,
@@ -144,7 +145,7 @@ def complex_direct_sum(x, y):
 
 def ext_dims_from_resolution(res, y, max_i):
     """Ext dims read off a caller-supplied resolution (any cover strategy)."""
-    homs = {i: hom_basis(res.terms[i], y) if i <= res.length else []
+    homs = {i: HomSpace(res.terms[i], y) if i <= res.length else []
             for i in range(max_i + 2)}
     ranks = {}
     for i in range(max_i + 1):

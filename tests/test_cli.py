@@ -126,6 +126,7 @@ SOCLE_MAP = {"source": "socle-seq", "target": "socle-seq"}
     ({"cmd": "injdim", "module": "reg", "bound": -1}, "/tasks/1/bound"),
     ({"cmd": "gldim", "algebra": "A", "bound": -1}, "/tasks/1/bound"),
     ({"cmd": "ext", "source": "k", "target": "k", "max_i": -1}, "/tasks/1/max_i"),
+    ({"cmd": "addmem", "module": "k", "summands": ["reg", 5]}, "/tasks/1/summands/1"),
 ])
 def test_cli_ill_typed_task_field_names_its_pointer(tmp_path, capsys, task, pointer):
     with open(KX2, encoding="utf-8") as fh:

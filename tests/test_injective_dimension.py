@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homres.algebra import Algebra, opposite
+from homres import modules, resolutions
+from homres.algebra import Algebra, from_table, opposite
 from homres.endo import endomorphism_algebra
 from homres.errors import HomresError
 from homres.modules import Module, direct_sum, dual_module, regular_module, simple_modules
@@ -113,3 +114,36 @@ def test_inj_dim_at_and_beyond_the_bound(make, which, bound, want, p):
     t = simple_modules(a)[0] if which == "simple" else regular_module(a)
     assert inj_dim(t, bound) == want
     assert _ext_scan_inj_dim(t, bound) == want
+
+
+def test_repeated_inj_dim_reuses_the_opposite_algebra(monkeypatch):
+    # opposite(a) is cached on a, so D t always lands over the same A^op: its
+    # projectives A^op·e_v are built once and a supplied radical of A^op is
+    # certified once, however often inj_dim is asked
+    built = []
+    vertex_projectives = resolutions._vertex_projectives
+
+    def counting_projectives(a):
+        if a._projectives is None:
+            built.append(len(a.idempotents))
+        return vertex_projectives(a)
+
+    monkeypatch.setattr(resolutions, "_vertex_projectives", counting_projectives)
+    reg = regular_module(two_vertex_line(2))
+    assert [inj_dim(reg, 4) for _ in range(5)] == [1] * 5
+    assert sum(built) == 2  # P_0 and P_1 of A^op, once each
+
+    splits = []
+    split = modules.simple_modules
+
+    def counting_split(a):
+        splits.append(a)
+        return split(a)
+
+    monkeypatch.setattr(modules, "simple_modules", counting_split)
+    # GF(2)[t]/(t^2) on the basis 1, t with the radical (t) supplied
+    a = from_table(2, 2, [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1]], [1, 0],
+                   radical=[[0, 1]])
+    reg = regular_module(a)
+    assert [inj_dim(reg, 4) for _ in range(5)] == [0] * 5
+    assert len(splits) == 1

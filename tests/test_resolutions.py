@@ -10,7 +10,7 @@ from homres.algebra import Algebra, from_table
 from homres.endo import endomorphism_algebra
 from homres.errors import InvalidInput
 from homres.modules import (
-    Module, ModuleMap, direct_sum, hom_basis, is_isomorphic, map_kernel,
+    HomSpace, Module, ModuleMap, direct_sum, hom_basis, is_isomorphic, map_kernel,
     regular_module, simple_modules, zero_module,
 )
 from homres.resolutions import (
@@ -119,7 +119,7 @@ def test_ext_schanuel_independence():
         validate_resolution(res)
         # recompute Ext^1 by hand from this resolution: corank of delta^0
         from homres.resolutions import _hom_complex_delta
-        homs = {i: hom_basis(res.terms[i], k) for i in range(min(3, res.length + 1))}
+        homs = {i: HomSpace(res.terms[i], k) for i in range(min(3, res.length + 1))}
         d0 = _hom_complex_delta(res, k, 0, homs)
         d1 = _hom_complex_delta(res, k, 1, homs)
         ext1 = len(homs[1]) - linalg.rank(d1, 3) - linalg.rank(d0, 3)
