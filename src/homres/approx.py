@@ -69,24 +69,33 @@ def right_approximation(x: Module, c: AddCategory) -> Approximation:
     piece_homs = [h for _, basis in homs for h in basis]
     matrix = np.hstack([linalg.zeros(x.dim, 0)] + [h.matrix for h in piece_homs])
     f = ModuleMap(sum_module(pieces, algebra=x.algebra), x, matrix % x.p)
-    for h in piece_homs:
-        if _factor_through(h, f) is None:
-            raise InternalError("approximation lifting contract failed")
+    if not _lifting_holds(homs, f):
+        raise InternalError("approximation lifting contract failed")
     return Approximation(f, pieces, piece_homs)
+
+
+def _lifting_holds(homs, f: ModuleMap) -> bool:
+    """Whether every h of every (M_j, [h, ...]) in homs factors through f:
+    one Hom(M_j, f.source) and one multi-column solve per summand."""
+    for m, basis in homs:
+        if basis and _lifts(m, np.stack([h.matrix for h in basis]), f)[1] is None:
+            return False
+    return True
+
+
+def _lifts(x: Module, targets: np.ndarray, f: ModuleMap):
+    """(Hom(x, f.source), coords): column k of coords holds the coordinates of
+    a g with f ∘ g = targets[k], or coords is None when some target does not
+    factor through f."""
+    space = HomSpace(x, f.source)
+    cols = ((f.matrix @ space.stacked) % f.p).reshape(len(space), targets[0].size).T
+    return space, linalg.solve_linear(cols, targets.reshape(len(targets), -1).T, f.p)
 
 
 def _factor_through(h: ModuleMap, f: ModuleMap) -> Optional[ModuleMap]:
     """g with f ∘ g = h, or None; g is searched inside Hom(h.source, f.source)."""
-    p = h.p
-    space = HomSpace(h.source, f.source)
-    if not space:
-        return None if np.any(h.matrix) else ModuleMap(
-            h.source, f.source, linalg.zeros(f.source.dim, h.source.dim))
-    cols = ((f.matrix @ space.stacked) % p).reshape(len(space), -1).T
-    sol = linalg.solve_linear(cols, h.matrix.reshape(-1), p)
-    if sol is None:
-        return None
-    return ModuleMap(h.source, f.source, space.combine(sol))
+    space, sol = _lifts(h.source, h.matrix[None], f)
+    return None if sol is None else ModuleMap(h.source, f.source, space.combine(sol))
 
 
 @dataclass

@@ -9,7 +9,8 @@ task's arguments come from the workspace document; --bound and --seed
 override the stored values.  Output is a single JSON document, written to
 stdout or --out, with sorted keys so runs are byte-identical.
 
-Exit codes: 0 success; 2 usage or workspace-schema error; 3 a hypothesis of
+Exit codes: 0 success; 2 usage or workspace-schema error (status
+"invalid-input", argparse usage errors included); 3 a hypothesis of
 the requested computation could not be witnessed, or the computation ran out
 of memory (status "out-of-memory"); 4 internal invariant violation.
 """
@@ -38,8 +39,14 @@ _HYPOTHESIS_ERRORS = (HypothesesNotSatisfied, NeedsFiniteInjdim, NotAGenerator,
                       UnsupportedField, SearchExhausted, NotFiniteDimensional)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error gets the JSON body and exit 2 like any other bad input
+        raise InvalidInput(message)
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="homres",
         description="exact homological computations over finite prime fields")
     p.add_argument("command", choices=list(COMMANDS) + ["suite", "run"])
@@ -76,8 +83,10 @@ def _emit(report: dict, out: Optional[str]) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    out = None  # a usage error is reported on stdout
     try:
+        args = _parser().parse_args(argv)
+        out = args.out
         ws = load_workspace(args.workspace)
         if args.command == "suite":
             report = verification_suite(ws, bound=args.bound)
@@ -87,19 +96,19 @@ def main(argv: Optional[List[str]] = None) -> int:
             task = _select_task(ws, args.command, args.task)
             report = run_task(ws, task, bound=args.bound, seed=args.seed)
     except InvalidInput as e:
-        _emit({"status": "invalid-input", "reason": str(e)}, args.out)
+        _emit({"status": "invalid-input", "reason": str(e)}, out)
         return 2
     except _HYPOTHESIS_ERRORS as e:
-        _emit({"status": "hypotheses-not-satisfied", "reason": str(e)}, args.out)
+        _emit({"status": "hypotheses-not-satisfied", "reason": str(e)}, out)
         return 3
     except (InternalError, AssertionError) as e:
-        _emit({"status": "internal-error", "reason": str(e)}, args.out)
+        _emit({"status": "internal-error", "reason": str(e)}, out)
         return 4
     except MemoryError as e:
         # a last resort: nothing bounds the work up front yet
-        _emit({"status": "out-of-memory", "reason": str(e) or "MemoryError"}, args.out)
+        _emit({"status": "out-of-memory", "reason": str(e) or "MemoryError"}, out)
         return 3
-    _emit(report, args.out)
+    _emit(report, out)
     return 0
 
 

@@ -151,6 +151,7 @@ class Theorem2Report:
     mode: str        # "biconditional" | "one-directional"
     verdict: bool    # the claimed equivalence/implication held
     b_dim: int
+    ctx: EndoContext  # B, so a later stage on the same summands can reuse it
 
     @property
     def smooth(self) -> bool:
@@ -169,6 +170,8 @@ def verify_theorem2(a: Algebra, t: Module, c: AddCategory, r: int,
     """
     if not same_algebra(t.algebra, a) or not same_algebra(c.algebra, a):
         raise InvalidInput("theorem inputs live over different algebras")
+    if r < 0:
+        raise InvalidInput(f"r must be >= 0, got {r}")
     m_sum = sum_module(c.summands)
     ctx = endomorphism_algebra(m_sum, summands=c.summands)
     if bound is None:
@@ -201,4 +204,4 @@ def verify_theorem2(a: Algebra, t: Module, c: AddCategory, r: int,
         verdict = (not holds_b) or (injdim_t <= r)
     return Theorem2Report(r=r, bound=bound, injdim_t=injdim_t, gldim_b=gldim_b,
                           perp_witness=perp_witness, spot_checks=spot_results,
-                          mode=mode, verdict=verdict, b_dim=ctx.b.dim)
+                          mode=mode, verdict=verdict, b_dim=ctx.b.dim, ctx=ctx)

@@ -14,7 +14,7 @@ from typing import List, Optional
 from . import linalg
 from .algebra import Algebra, opposite, same_algebra
 from .approx import AddCategory, add_membership, perp_membership, right_approximation
-from .endo import EndoContext, endomorphism_algebra
+from .endo import EndoContext, Theorem2Report, endomorphism_algebra
 from .errors import HypothesesNotSatisfied, InternalError, InvalidInput
 from .modules import (
     Module,
@@ -22,6 +22,7 @@ from .modules import (
     is_isomorphic,
     map_kernel,
     regular_module,
+    same_module,
     sum_module,
     UNDECIDED,
 )
@@ -87,17 +88,29 @@ class RelativeAuslanderReport:
         return self.gldim_b != EXCEEDS_BOUND
 
 
-def relative_auslander(a: Algebra, gp_list: List[Module],
-                       bound: int) -> RelativeAuslanderReport:
+def relative_auslander(a: Algebra, gp_list: List[Module], bound: int, *,
+                       gorenstein: Optional[GorensteinReport] = None,
+                       theorem2: Optional[Theorem2Report] = None
+                       ) -> RelativeAuslanderReport:
     """B = (End ⊕ gp_list)^op for a declared complete Gorenstein-projective list.
 
     Witness checks: a Gorenstein within the bound; every entry GP; entries
     pairwise non-isomorphic; the projectives contained (the regular module is
     an add-member of the list).
+
+    Stages computed earlier may be passed in: `gorenstein`, is_gorenstein(a,
+    bound); `theorem2`, a Theorem-2 report within the same bound whose
+    summands are gp_list in order, whose B and gl.dim B are then reused.
     """
     if not gp_list:
         raise InvalidInput("the Gorenstein-projective list must be nonempty")
-    rep = is_gorenstein(a, bound)
+    if gorenstein is not None and gorenstein.bound != bound:
+        raise InvalidInput("the Gorenstein report was computed within another bound")
+    if theorem2 is not None and (
+            theorem2.bound != bound or len(theorem2.ctx.summands or ()) != len(gp_list)
+            or not all(map(same_module, theorem2.ctx.summands, gp_list))):
+        raise InvalidInput("the Theorem-2 report is not on this list and bound")
+    rep = gorenstein or is_gorenstein(a, bound)
     if not rep.gorenstein:
         raise HypothesesNotSatisfied("algebra is not Gorenstein within the bound")
     reg = regular_module(a)
@@ -115,8 +128,11 @@ def relative_auslander(a: Algebra, gp_list: List[Module],
     if not add_membership(reg, AddCategory(gp_list)):
         raise HypothesesNotSatisfied(
             "the projective indecomposables are not all represented in the list")
-    ctx = endomorphism_algebra(sum_module(gp_list), summands=gp_list)
-    gldim_b = gl_dim(ctx.b, bound)
+    if theorem2 is not None:
+        ctx, gldim_b = theorem2.ctx, theorem2.gldim_b
+    else:
+        ctx = endomorphism_algebra(sum_module(gp_list), summands=gp_list)
+        gldim_b = gl_dim(ctx.b, bound)
     return RelativeAuslanderReport(ctx=ctx, gorenstein_dimension=rep.dimension,
                                    gldim_b=gldim_b)
 

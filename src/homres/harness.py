@@ -88,11 +88,15 @@ class _Args:
     def modules(self, key: str) -> List[Module]:
         return [self.ws.module(n, self.at(key)) for n in self.names(key)]
 
+    def nonempty_modules(self, key: str, what: str) -> List[Module]:
+        mods = self.modules(key)
+        if not mods:
+            raise WorkspaceError(self.at(key), f"{what} list must be nonempty")
+        return mods
+
     def category(self, generator: bool = False) -> AddCategory:
-        summands = self.modules("summands")
-        if not summands:
-            raise WorkspaceError(self.at("summands"), "summand list must be nonempty")
-        return AddCategory(summands, generator=generator)
+        return AddCategory(self.nonempty_modules("summands", "summand"),
+                           generator=generator)
 
     def strategy(self) -> str:
         strategy = self.args.get("strategy", "evaluation")
@@ -200,7 +204,7 @@ def _endo(arg: _Args, b: int) -> dict:
 def _verify_thm2(arg: _Args, b: int) -> dict:
     a, t, cat = arg.algebra(), arg.module("t"), arg.category()
     spots = arg.modules("spot_checks")
-    rep = verify_theorem2(a, t, cat, arg.integer("r", 2),
+    rep = verify_theorem2(a, t, cat, arg.count("r", 2),
                           bound=b if "bound" in arg.args else None,
                           spot_check_modules=spots or None)
     return dict(_theorem2_json(rep), r=rep.r, bound=rep.bound,
@@ -218,7 +222,8 @@ def _gp(arg: _Args, b: int) -> dict:
 
 def _auslander(arg: _Args, b: int) -> dict:
     a = arg.algebra()
-    return _auslander_json(relative_auslander(a, arg.modules("gp_list"), b))
+    gp = arg.nonempty_modules("gp_list", "Gorenstein-projective")
+    return _auslander_json(relative_auslander(a, gp, b))
 
 
 def _cotilting(arg: _Args, b: int) -> dict:
@@ -315,13 +320,16 @@ def verification_suite(ws: WorkspaceDocument,
     homological size (the already-smooth branch when gl.dim is finite), the
     two-sided Gorenstein verdict, and — when the workspace declares a complete
     Gorenstein-projective list — the relative Auslander algebra's smoothness.
+    Each stage runs once: the relative Auslander step reuses the Gorenstein
+    report, and B with gl.dim B from the Theorem-2 step when gp_list names
+    the summands in order.
     """
     if not ws.suite:
         raise WorkspaceError("/suite", "workspace declares no suite section")
     arg = _Args(ws, ws.suite if bound is None else dict(ws.suite, bound=bound),
                 "/suite")
     a, t, cat = arg.algebra(), arg.module("t"), arg.category()
-    r = arg.integer("r", 2)
+    r = arg.count("r", 2)
     b = arg.count("bound", DEFAULT_BOUND)
     # the list is read now; its modules are looked up only for a Gorenstein A
     gp_names = arg.names("gp_list")
@@ -335,6 +343,7 @@ def verification_suite(ws: WorkspaceDocument,
         checks.append({"name": "base-already-smooth", "ok": True})
 
     spots = arg.modules("spot_checks")
+    rep = None
     try:
         rep = verify_theorem2(a, t, cat, r, bound=b,
                               spot_check_modules=spots or None)
@@ -355,8 +364,10 @@ def verification_suite(ws: WorkspaceDocument,
 
     if grep.gorenstein and gp_names:
         gp = arg.modules("gp_list")
+        same_b = gp_names == arg.names("summands")  # rep is None if withheld
         try:
-            arep = relative_auslander(a, gp, b)
+            arep = relative_auslander(a, gp, b, gorenstein=grep,
+                                      theorem2=rep if same_b else None)
             reg = regular_module(a)
             rel_inj = all(ext_dims(g, reg, 1).dims[1] == 0 for g in gp)
             dossier["auslander"] = _auslander_json(arep)

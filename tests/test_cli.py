@@ -40,9 +40,11 @@ def test_cli_missing_task_is_usage_error(capsys):
 
 
 def test_cli_unknown_command_exits_2(capsys):
-    with pytest.raises(SystemExit) as e:
-        main(["frobnicate", "--workspace", KX2])
-    assert e.value.code == 2
+    code, out = run_cli(capsys, "frobnicate", "--workspace", KX2)
+    assert code == 2
+    body = json.loads(out)
+    assert body["status"] == "invalid-input"
+    assert "frobnicate" in body["reason"]
 
 
 def test_cli_broken_workspace_exits_2(tmp_path, capsys):
@@ -325,3 +327,69 @@ def test_cli_injdim_certifies_the_radical_on_the_opposite(tmp_path, capsys, alge
         assert body["injdim"] == expect
     elif expect is not None:
         assert expect in body["reason"]
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["gldim"], "--workspace"),
+    (["gldim", "--workspace", KX2, "--bound", "abc"], "--bound"),
+    (["gldim", "--workspace", KX2, "--out"], "--out"),
+    ([], "command"),
+])
+def test_cli_usage_error_exits_2_with_a_body(capsys, argv, words):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    body = json.loads(out)
+    assert body["status"] == "invalid-input" and words in body["reason"]
+
+
+def test_cli_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["--help"])
+    assert e.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: homres")
+
+
+def _kx2_with(tmp_path, suite=None, task=None):
+    with open(KX2, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if suite is not None:
+        doc["suite"].update(suite)
+    if task is not None:
+        doc["tasks"] = [doc["tasks"][0], dict(task, name="bad")]
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_cli_negative_r_exits_2(tmp_path, capsys):
+    code, out = run_cli(capsys, "suite", "--workspace", _kx2_with(tmp_path, suite={"r": -1}))
+    assert code == 2 and json.loads(out)["reason"].startswith("/suite/r:")
+    task = {"cmd": "verify-thm2", "algebra": "A", "t": "reg",
+            "summands": ["reg", "k"], "r": -1}
+    code, out = run_cli(capsys, "verify-thm2", "--workspace",
+                        _kx2_with(tmp_path, task=task), "--task", "bad")
+    assert code == 2 and json.loads(out)["reason"].startswith("/tasks/1/r:")
+
+
+def test_verify_theorem2_refuses_negative_r():
+    from homres.approx import AddCategory
+    from homres.endo import verify_theorem2
+    from homres.errors import InvalidInput
+    from homres.workspace import load_workspace
+    ws = load_workspace(KX2)
+    reg, k = ws.module("reg"), ws.module("k")
+    with pytest.raises(InvalidInput, match="r must be >= 0"):
+        verify_theorem2(ws.algebra("A"), reg, AddCategory([reg, k]), -1)
+
+
+@pytest.mark.parametrize("gp_list", [None, []])
+def test_cli_auslander_needs_a_nonempty_gp_list(tmp_path, capsys, gp_list):
+    task = {"cmd": "auslander", "algebra": "A"}
+    if gp_list is not None:
+        task["gp_list"] = gp_list
+    code, out = run_cli(capsys, "auslander", "--workspace",
+                        _kx2_with(tmp_path, task=task), "--task", "bad")
+    assert code == 2
+    body = json.loads(out)
+    assert body["status"] == "invalid-input"
+    assert body["reason"].startswith("/tasks/1/gp_list:")
