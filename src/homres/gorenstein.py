@@ -81,6 +81,13 @@ class RelativeAuslanderReport:
     ctx: EndoContext
     gorenstein_dimension: int
     gldim_b: float
+    gp_certified: List[bool]  # per entry: in ^⊥A, up to the Gorenstein dimension
+
+    @property
+    def projectives_relatively_injective(self) -> bool:
+        """Ext¹(g, A) = 0 for every listed g.  Each entry's GP certificate
+        covers Ext¹ when the Gorenstein dimension is >= 1; at 0, A is injective."""
+        return all(self.gp_certified)
 
     @property
     def smooth(self) -> bool:
@@ -114,8 +121,10 @@ def relative_auslander(a: Algebra, gp_list: List[Module], bound: int, *,
     if not rep.gorenstein:
         raise HypothesesNotSatisfied("algebra is not Gorenstein within the bound")
     reg = regular_module(a)
+    gp_certified = []
     for i, x in enumerate(gp_list):
-        if not perp_membership(x, reg, rep.dimension):
+        gp_certified.append(perp_membership(x, reg, rep.dimension))
+        if not gp_certified[-1]:
             raise HypothesesNotSatisfied(
                 f"list entry {i} is not Gorenstein-projective")
     for i in range(len(gp_list)):
@@ -134,7 +143,7 @@ def relative_auslander(a: Algebra, gp_list: List[Module], bound: int, *,
         ctx = endomorphism_algebra(sum_module(gp_list), summands=gp_list)
         gldim_b = gl_dim(ctx.b, bound)
     return RelativeAuslanderReport(ctx=ctx, gorenstein_dimension=rep.dimension,
-                                   gldim_b=gldim_b)
+                                   gldim_b=gldim_b, gp_certified=gp_certified)
 
 
 @dataclass

@@ -26,7 +26,7 @@ from .gorenstein import (
     GorensteinReport, RelativeAuslanderReport, cotilting_check, gp_membership,
     is_gorenstein, relative_auslander,
 )
-from .modules import Module, ModuleMap, regular_module
+from .modules import Module, ModuleMap
 from .resolutions import (
     EXCEEDS_BOUND, RESOLUTION_STRATEGIES, ext_dims, gl_dim, inj_dim, proj_dim,
     projective_resolution,
@@ -368,12 +368,10 @@ def verification_suite(ws: WorkspaceDocument,
         try:
             arep = relative_auslander(a, gp, b, gorenstein=grep,
                                       theorem2=rep if same_b else None)
-            reg = regular_module(a)
-            rel_inj = all(ext_dims(g, reg, 1).dims[1] == 0 for g in gp)
             dossier["auslander"] = _auslander_json(arep)
             checks.append({"name": "gp-list-verified", "ok": True})
             checks.append({"name": "projectives-relatively-injective",
-                           "ok": rel_inj})
+                           "ok": arep.projectives_relatively_injective})
             checks.append({"name": "auslander-smooth", "ok": arep.smooth})
         except (HypothesesNotSatisfied, NeedsFiniteInjdim) as e:
             dossier["auslander"] = {"status": "hypotheses-not-satisfied",

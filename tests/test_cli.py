@@ -1,8 +1,17 @@
+import argparse
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from homres.cli import main
+import homres
+from homres.cli import _CHOICES, _read_argv, main
+from homres.errors import InvalidInput
 from homres.workspace import bundled_workspace_path
 
 KX2 = bundled_workspace_path("kx2")
@@ -393,3 +402,166 @@ def test_cli_auslander_needs_a_nonempty_gp_list(tmp_path, capsys, gp_list):
     body = json.loads(out)
     assert body["status"] == "invalid-input"
     assert body["reason"].startswith("/tasks/1/gp_list:")
+
+
+# -- the argv reader against argparse ------------------------------------------
+
+
+class _Refused(Exception):
+    pass
+
+
+class _Oracle(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Refused(message)
+
+
+def _oracle():
+    """The argparse parser the CLI used before its flag-table reader."""
+    p = _Oracle(prog="homres")
+    p.add_argument("command", choices=list(_CHOICES))
+    p.add_argument("--workspace", required=True)
+    p.add_argument("--task")
+    p.add_argument("--bound", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out")
+    return p
+
+
+def _outcome(read, argv):
+    """("parsed", values), ("refused",) or ("help",) for one reader."""
+    buf = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(buf):
+            got = ("parsed", read(argv))
+    except (_Refused, InvalidInput):
+        got = ("refused",)
+    except SystemExit as e:
+        assert e.code == 0 and buf.getvalue().startswith("usage: homres")
+        return ("help",)
+    assert buf.getvalue() == ""
+    return got
+
+
+def _same_as_argparse(argv):
+    mine = _outcome(_read_argv, argv)
+    assert mine == _outcome(lambda a: vars(_oracle().parse_args(a)), argv)
+    return mine
+
+
+_FLAG_NAMES = ("--workspace", "--task", "--bound", "--seed", "--out")
+_WORD = st.text(alphabet="abcxyz/._ 0123456789", min_size=1, max_size=6).filter(
+    lambda w: not w.startswith("-"))
+_VALUE = st.one_of(_WORD, st.integers(-20, 20).map(str),
+                   st.sampled_from(["", "abc", "3.5", "-1", "-0", "-2.5", "+4", " 7 "]))
+
+
+@st.composite
+def _flag(draw):
+    """One flag in full, abbreviated or =-joined form, with or without a value."""
+    name = draw(st.sampled_from(_FLAG_NAMES))
+    spelling = name[:draw(st.integers(3, len(name)))]
+    value = draw(st.none() | _VALUE)
+    if value is not None and draw(st.booleans()):
+        return [f"{spelling}={value}"]
+    return [spelling] + ([] if value is None else [value])
+
+
+_ITEMS = st.one_of(
+    _flag(), _flag(), _flag(),
+    st.sampled_from(list(_CHOICES) + ["frobnicate", "Gldim", "suit", ""]).map(lambda c: [c]),
+    _WORD.map(lambda w: [w]),
+    st.sampled_from(["-h", "--help", "--he", "-hh", "-hx", "--help=x", "--frob", "-x",
+                     "-", "--"]).map(lambda o: [o]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(groups=st.lists(_ITEMS, max_size=7))
+def test_read_argv_agrees_with_argparse(groups):
+    """The reader parses an argv to the values argparse parses it to, prints
+    the usage where argparse does, and refuses exactly what argparse refuses.
+
+    argv is drawn from the CLI grammar: valid and invalid commands; every
+    flag in full, abbreviated (any prefix of three or more characters) and
+    =-joined form; int, non-int, negative and missing values; repeated flags,
+    extra positionals, unknown options, `--` and the help spellings.  Values
+    that start with "-" but are not numbers are left out: both readers take
+    such an item for an option, never for a value.
+    """
+    _same_as_argparse([item for group in groups for item in group])
+
+
+@pytest.mark.parametrize("argv, values", [
+    (["gldim", f"--workspace={KX2}"], {"command": "gldim", "workspace": KX2}),
+    (["--workspace", KX2, "--bound", "3", "gldim"],
+     {"command": "gldim", "workspace": KX2, "bound": 3}),
+    (["gldim", "--workspace", "a", "--seed", "1", "--workspace", KX2, "--seed=2"],
+     {"command": "gldim", "workspace": KX2, "seed": 2}),
+    (["gldim", "--work", KX2, "--b", "4", "--o=r.json"],
+     {"command": "gldim", "workspace": KX2, "bound": 4, "out": "r.json"}),
+    (["gldim", "--workspace", KX2, "--bound", "-1"],
+     {"command": "gldim", "workspace": KX2, "bound": -1}),
+])
+def test_read_argv_accepts_what_argparse_accepts(argv, values):
+    want = dict(dict.fromkeys(["command", "workspace", "task", "bound", "seed", "out"]),
+                **values)
+    assert _same_as_argparse(argv) == ("parsed", want)
+
+
+@pytest.mark.parametrize("argv, outcome", [
+    (["gldim", "--workspace", KX2, "-h"], "help"),
+    # "--" ends the options; argparse reads it with the command next to it
+    # and counts it as an unrecognized argument anywhere else
+    (["--workspace", KX2, "gldim", "--"], "parsed"),
+    (["--workspace", KX2, "--", "gldim"], "parsed"),
+    (["gldim", "--workspace", KX2, "--"], "refused"),
+    (["gldim", "--", "--workspace", KX2], "refused"),
+    (["gldim", "--workspace", "--", KX2], "refused"),
+])
+def test_read_argv_help_and_double_dash_as_argparse(argv, outcome):
+    assert _same_as_argparse(argv)[0] == outcome
+
+
+def test_cli_negative_bound_reaches_the_task_reader(capsys):
+    code, out = run_cli(capsys, "gldim", "--workspace", KX2, "--bound", "-1")
+    assert code == 2
+    assert json.loads(out)["reason"].startswith("/tasks/0/bound:")
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["gldim", "--workspace", KX2, "--bound", 3], "argv[4]"),
+    ([None, "--workspace", KX2], "argv[0]"),
+    (["gldim", b"--workspace", KX2], "argv[1]"),
+])
+def test_cli_argv_item_not_a_string_exits_2(capsys, argv, words):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    body = json.loads(out)
+    assert body["status"] == "invalid-input" and words in body["reason"]
+
+
+# Runs `python -m homres.cli` and lists the modules loaded by the end of main.
+_MODULES_AFTER_MAIN = """
+import runpy, sys
+try:
+    runpy.run_module("homres.cli", run_name="__main__", alter_sys=True)
+except SystemExit as e:
+    code = e.code
+print(" ".join(sorted(sys.modules)))
+sys.exit(code)
+"""
+
+
+def test_cli_call_imports_neither_argparse_nor_gettext():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(homres.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_AFTER_MAIN, "gldim", "--workspace", KX2],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *report, modules = proc.stdout.splitlines()
+    assert json.loads("\n".join(report))["cmd"] == "gldim"
+    modules = set(modules.split())
+    assert "homres.harness" in modules
+    assert not modules & {"argparse", "gettext"}

@@ -2,7 +2,8 @@
 
 `homres suite` is compared byte for byte with perfbench/golden.json's
 dossiers at every prime; spies count the B, Gorenstein and gl.dim B stages
-of one suite; a gp_list that is not the summand list in order gets its own B.
+of one suite; a gp_list that is not the summand list in order gets its own B;
+the relative-injectivity check is read from the relative Auslander report.
 """
 
 import json
@@ -12,7 +13,7 @@ import sys
 import pytest
 
 import homres
-from homres import endo, gorenstein, resolutions
+from homres import endo, gorenstein, harness, resolutions
 from homres.cli import main
 from homres.harness import _auslander_json, verification_suite
 from homres.gorenstein import relative_auslander
@@ -103,3 +104,24 @@ def test_relative_auslander_refuses_a_theorem2_report_on_other_summands():
     with pytest.raises(homres.InvalidInput):
         relative_auslander(a, [reg, k, v2], 9,
                            gorenstein=gorenstein.is_gorenstein(a, 10))
+
+
+@pytest.mark.parametrize("name, dimension", [("kx3", 0), ("a2-hereditary", 1)])
+def test_suite_reads_relative_injectivity_from_the_auslander_report(monkeypatch, name,
+                                                                    dimension):
+    # the GP certificate covers Ext^1(g, A) at Gorenstein dimension >= 1, and
+    # A is injective at 0: the dossier computes no Ext table of its own
+    def no_ext(*args, **kwargs):
+        raise AssertionError("the dossier recomputed an Ext table")
+
+    monkeypatch.setattr(harness, "ext_dims", no_ext)
+    dossier = verification_suite(parse_workspace(_doc(name)))
+    assert dossier["auslander"]["gorenstein_dimension"] == dimension
+    assert {"name": "projectives-relatively-injective", "ok": True} in dossier["checks"]
+    monkeypatch.undo()
+    ws = parse_workspace(_doc(name))
+    gp = [ws.module(n) for n in ws.suite["gp_list"]]
+    rep = relative_auslander(ws.algebra("A"), gp, ws.suite["bound"])
+    assert rep.gp_certified == [True] * len(gp) and rep.projectives_relatively_injective
+    assert all(resolutions.ext_dims(g, homres.regular_module(ws.algebra("A")), 1).dims[1] == 0
+               for g in gp)
