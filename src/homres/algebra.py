@@ -170,11 +170,15 @@ def from_table(p: int, dim: int, structure: Sequence[Tuple[int, int, int, int]],
     """
     if dim < 0:
         raise InvalidInput(f"algebra dimension {dim} is negative")
-    mult = np.zeros((dim, dim, dim), dtype=np.int64)
+    try:
+        mult = np.zeros((dim, dim, dim), dtype=np.int64)
+    except ValueError as e:  # numpy cannot shape dim^3 entries at all
+        raise InvalidInput(f"algebra dimension {dim} is too large: {e}") from None
     for i, j, k, c in structure:
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise InvalidInput(f"structure entry ({i},{j},{k}) out of range for dim {dim}")
-        mult[i, j, k] = (mult[i, j, k] + c) % p
+        # c is a GF(p) coefficient: reduce it before it meets int64
+        mult[i, j, k] = (mult[i, j, k] + c % p) % p
     a = Algebra(p=p, dim=dim, mult=mult, unit=np.asarray(unit), radical=radical,
                 labels=labels, radical_unproven=radical is not None and p <= dim)
     return validate_algebra(a)

@@ -18,10 +18,11 @@ value (`--bound -1`, which the task reader then refuses), no options after
 argv exits 2 with argparse's wording, naming the flag or the command; an argv
 item that is not a string exits 2 naming its position.
 
-Exit codes: 0 success; 2 usage or workspace-schema error (status
-"invalid-input"); 3 a hypothesis of the requested computation could not be
-witnessed, or the computation ran out of memory (status "out-of-memory");
-4 internal invariant violation.
+Exit codes: 0 success; 2 usage or workspace-schema error, an unreadable
+workspace file or an unwritable --out (status "invalid-input"); 3 a
+hypothesis of the requested computation could not be witnessed, or the
+computation ran out of memory (status "out-of-memory"); 4 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -165,21 +166,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             task = _select_task(ws, args["command"], args["task"])
             report = run_task(ws, task, bound=args["bound"], seed=args["seed"])
+        code = 0
     except InvalidInput as e:
-        _emit({"status": "invalid-input", "reason": str(e)}, out)
-        return 2
+        code, report = 2, {"status": "invalid-input", "reason": str(e)}
     except _HYPOTHESIS_ERRORS as e:
-        _emit({"status": "hypotheses-not-satisfied", "reason": str(e)}, out)
-        return 3
+        code, report = 3, {"status": "hypotheses-not-satisfied", "reason": str(e)}
     except (InternalError, AssertionError) as e:
-        _emit({"status": "internal-error", "reason": str(e)}, out)
-        return 4
+        code, report = 4, {"status": "internal-error", "reason": str(e)}
     except MemoryError as e:
         # a last resort: nothing bounds the work up front yet
-        _emit({"status": "out-of-memory", "reason": str(e) or "MemoryError"}, out)
-        return 3
-    _emit(report, out)
-    return 0
+        code, report = 3, {"status": "out-of-memory", "reason": str(e) or "MemoryError"}
+    try:
+        _emit(report, out)
+    except OSError as e:  # an unwritable --out: report that on stdout instead
+        _emit({"status": "invalid-input",
+               "reason": f"argument --out: cannot write {out!r}: {e.strerror or e}"}, None)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ Cone convention: Cone(g: P -> Q)^i = P^{i+1} ⊕ Q^i with differential
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,10 +24,11 @@ from .modules import (
     HomSpace,
     Module,
     ModuleMap,
-    direct_sum,
     identity_map,
     module_image,
+    regular_module,
     same_module,
+    sum_module,
     zero_map,
     zero_module,
 )
@@ -146,32 +147,19 @@ def mapping_cone(f: ChainMap) -> Tuple[Complex, ChainMap, ChainMap]:
     """Cone(f) with the canonical triangle maps Y -> Cone and Cone -> X[1]."""
     x, y = f.source, f.target
     a = x.algebra
-    p = a.p
     lo = min(x.lo - 1, y.lo)
     hi = max(x.hi - 1, y.hi)
-    terms = []
-    sums = []
-    for i in range(lo, hi + 1):
-        ds = direct_sum([x.term(i + 1), y.term(i)], algebra=a)
-        sums.append(ds)
-        terms.append(ds.module)
-    diffs = []
-    for i in range(lo, hi):
-        src, tgt = sums[i - lo], sums[i + 1 - lo]
-        dx = x.diff(i + 1)
-        dy = y.diff(i)
-        fi = f.component(i + 1)
-        mat = (tgt.injections[0].matrix @ ((-dx.matrix) % p) @ src.projections[0].matrix
-               + tgt.injections[1].matrix @ fi.matrix @ src.projections[0].matrix
-               + tgt.injections[1].matrix @ dy.matrix @ src.projections[1].matrix) % p
-        diffs.append(ModuleMap(src.module, tgt.module, mat))
+    terms = [sum_module([x.term(i + 1), y.term(i)], algebra=a) for i in range(lo, hi + 1)]
+    diffs = [ModuleMap(terms[i - lo], terms[i + 1 - lo], np.block([
+        [-x.diff(i + 1).matrix, linalg.zeros(x.term(i + 2).dim, y.term(i).dim)],
+        [f.component(i + 1).matrix, y.diff(i).matrix]])) for i in range(lo, hi)]
     cone = Complex(a, lo, terms, diffs)
     inj = ChainMap(y, cone, {i: ModuleMap(y.term(i), cone.term(i),
-                                          sums[i - lo].injections[1].matrix)
+                                          linalg.identity(cone.term(i).dim)[:, x.term(i + 1).dim:])
                              for i in range(lo, hi + 1)})
     x1 = shift(x, 1)
     proj = ChainMap(cone, x1, {i: ModuleMap(cone.term(i), x1.term(i),
-                                            sums[i - lo].projections[0].matrix)
+                                            linalg.identity(cone.term(i).dim)[:x1.term(i).dim])
                                for i in range(lo, hi + 1)})
     return cone, inj, proj
 
@@ -217,28 +205,18 @@ def homotopy_hom_dim(x: Complex, y: Complex, n: int) -> int:
                 for i in range(x.lo, x.hi + 1)}
 
     def delta_matrix(m: int, lower, upper):
-        row_off, col_off = {}, {}
-        rows = cols = 0
-        for i in sorted(upper):
-            row_off[i] = rows
-            rows += len(upper[i])
-        for i in sorted(lower):
-            col_off[i] = cols
-            cols += len(lower[i])
-        mat = linalg.zeros(rows, cols)
         sign = 1 if m % 2 == 0 else -1
-        for i in sorted(lower):
-            cs = slice(col_off[i], col_off[i] + len(lower[i]))
-            # d_Y^{i+m} o f : X^i -> Y^{i+m+1}, lands in the i block
-            up = upper[i]
-            mat[row_off[i]:row_off[i] + len(up), cs] = up.coords(
-                y.diff(i + m).matrix @ lower[i].stacked).T
-            # -(-1)^m f o d_X^{i-1}: X^{i-1} -> Y^{i+m}, lands in block i-1
-            if i - 1 in upper:
-                up = upper[i - 1]
-                mat[row_off[i - 1]:row_off[i - 1] + len(up), cs] += up.coords(
-                    -sign * lower[i].stacked @ x.diff(i - 1).matrix).T
-        return mat % p
+
+        def block(r: int, c: int):
+            # d_Y^{c+m} o f : X^c -> Y^{c+m+1} lands in the c block, and
+            # -(-1)^m f o d_X^{c-1}: X^{c-1} -> Y^{c+m} in the c - 1 block
+            if r == c:
+                return upper[r].coords(y.diff(c + m).matrix @ lower[c].stacked).T
+            if r == c - 1:
+                return upper[r].coords(-sign * lower[c].stacked @ x.diff(r).matrix).T
+            return linalg.zeros(len(upper[r]), len(lower[c]))
+
+        return np.block([[block(r, c) for c in lower] for r in upper])
 
     layer_prev = hom_layer(n - 1)
     layer_n = hom_layer(n)
@@ -296,25 +274,11 @@ def _c_resolve(x: Complex, c: AddCategory, cut: int) -> CResolution:
     f, h = glue
     cone, _, _ = mapping_cone(f)
     # Phi^i = [[phi1^{i+1}, 0], [h^{i+1}, phi2^i]] : Cone(f)^i -> Cone(u)^i = X^i
-    comps = {}
-    p = a.p
-    for i in range(cone.lo, cone.hi + 1):
-        c1_next = r1.complex.term(i + 1)
-        c2_here = r2.complex.term(i)
-        tgt = x.term(i)
-        ds = direct_sum([c1_next, c2_here], algebra=a)
-        phi1 = r1.map.component(i + 1)   # -> x1^{i+1}, nonzero only at i+1 = j+1
-        phi2 = r2.map.component(i)
-        hh = h.get(i + 1)
-        if i == j:
-            # target X^j = x1^{j+1}; phi1 lands there, phi2^j = 0
-            mat = (phi1.matrix @ ds.projections[0].matrix) % p
-        else:
-            mat = (phi2.matrix @ ds.projections[1].matrix) % p
-            if hh is not None and i + 1 >= r1.complex.lo:
-                # h^{i+1}: C1^{i+1} -> X2^i = X^i
-                mat = (mat + hh @ ds.projections[0].matrix) % p
-        comps[i] = ModuleMap(cone.term(i), tgt, mat)
+    comps = {i: ModuleMap(cone.term(i), x.term(i), np.block([
+        [r1.map.component(i + 1).matrix,
+         linalg.zeros(x1.term(i + 1).dim, r2.complex.term(i).dim)],
+        [h.component(i + 1).matrix, r2.map.component(i).matrix]]))
+        for i in range(cone.lo, cone.hi + 1)}
     phi = ChainMap(cone, x, comps)
     complete = r1.complete and r2.complete
     if complete:
@@ -373,39 +337,47 @@ def _solve_joint(unknowns: Dict[Tuple[str, int], HomSpace], equations, p: int):
             for key, space in unknowns.items()}
 
 
-def _lift_through(u: ChainMap, r1: CResolution, r2: CResolution):
-    """f: C1 -> C2 chain map and homotopy h with φ2 f - u φ1 = d_{X2} h + h d_{C1}.
+def _map_up_to_homotopy(src: Complex, tgt: Complex, h_src: Complex, h_tgt: Complex,
+                        post: Optional[ChainMap], pre: Optional[ChainMap],
+                        rhs: Callable[[int], np.ndarray]):
+    """Chain map g: src -> tgt and homotopy h: h_src -> h_tgt[-1] with
+    post g pre - d h - h d = rhs degreewise (a None factor is the identity).
 
-    One joint linear solve over the Hom-basis coordinates of all components.
-    h is returned as a dict degree -> raw matrix C1^i -> X2^{i-1}.
+    One joint linear solve over the Hom-basis coordinates of all components;
+    returns (ChainMap, Homotopy), or None if no such pair exists.
     """
-    c1, c2 = r1.complex, r2.complex
-    x2 = r2.map.target
-    p = c1.algebra.p
-    degrees = list(range(min(c1.lo, c2.lo, x2.lo) - 1,
-                         max(c1.hi, c2.hi, x2.hi) + 2))
-    unknowns = {("f", i): HomSpace(c1.term(i), c2.term(i)) for i in degrees}
-    unknowns.update({("h", i): HomSpace(c1.term(i), x2.term(i - 1)) for i in degrees})
+    degrees = list(range(min(cx.lo for cx in (src, tgt, h_src, h_tgt)) - 1,
+                         max(cx.hi for cx in (src, tgt, h_src, h_tgt)) + 2))
+    unknowns = {("g", i): HomSpace(src.term(i), tgt.term(i)) for i in degrees}
+    unknowns.update({("h", i): HomSpace(h_src.term(i), h_tgt.term(i - 1)) for i in degrees})
     equations = []
     for i in degrees[:-1]:
-        d1 = c1.diff(i).matrix
-        # chain condition: f^{i+1} d1^i - d2^i f^i = 0
-        equations.append(([(("f", i + 1), None, d1),
-                           (("f", i), -c2.diff(i).matrix, None)],
-                          linalg.zeros(c2.term(i + 1).dim, c1.term(i).dim)))
-        # homotopy: φ2^i f^i - d^{i-1} h^i - h^{i+1} d1^i = u^i φ1^i
-        equations.append(([(("f", i), r2.map.component(i).matrix, None),
-                           (("h", i), -x2.diff(i - 1).matrix, None),
-                           (("h", i + 1), None, -d1)],
-                          linalg.mat_mul(u.component(i).matrix,
-                                         r1.map.component(i).matrix, p)))
-    sol = _solve_joint(unknowns, equations, p)
+        # chain condition: g^{i+1} d^i - d^i g^i = 0
+        equations.append(([(("g", i + 1), None, src.diff(i).matrix),
+                           (("g", i), -tgt.diff(i).matrix, None)],
+                          linalg.zeros(tgt.term(i + 1).dim, src.term(i).dim)))
+        # post^i g^i pre^i - d^{i-1} h^i - h^{i+1} d^i = rhs^i
+        equations.append(([(("g", i), None if post is None else post.component(i).matrix,
+                            None if pre is None else pre.component(i).matrix),
+                           (("h", i), -h_tgt.diff(i - 1).matrix, None),
+                           (("h", i + 1), None, -h_src.diff(i).matrix)],
+                          rhs(i)))
+    sol = _solve_joint(unknowns, equations, src.algebra.p)
     if sol is None:
         return None
-    f_comps = {i: ModuleMap(c1.term(i), c2.term(i), sol["f", i])
-               for i in degrees if np.any(sol["f", i])}
-    h_comps = {i: sol["h", i] for i in degrees if np.any(sol["h", i])}
-    return (ChainMap(c1, c2, f_comps), h_comps)
+    g_comps = {i: ModuleMap(src.term(i), tgt.term(i), sol["g", i])
+               for i in degrees if np.any(sol["g", i])}
+    h_comps = {i: ModuleMap(h_src.term(i), h_tgt.term(i - 1), sol["h", i])
+               for i in degrees if np.any(sol["h", i])}
+    return ChainMap(src, tgt, g_comps), Homotopy(h_src, h_tgt, h_comps)
+
+
+def _lift_through(u: ChainMap, r1: CResolution, r2: CResolution):
+    """f: C1 -> C2 chain map and homotopy h with φ2 f - u φ1 = d_{X2} h + h d_{C1}."""
+    return _map_up_to_homotopy(
+        r1.complex, r2.complex, r1.complex, r2.map.target, r2.map, None,
+        lambda i: linalg.mat_mul(u.component(i).matrix, r1.map.component(i).matrix,
+                                 u.source.algebra.p))
 
 
 # -- perfect complexes ---------------------------------------------------------------
@@ -427,7 +399,6 @@ def perfect_test(x: Complex, bound: int) -> PerfectReport:
     homology cutoff for a projective image Im d^n; the witness makes the
     brutal truncation at n+1 perfect.
     """
-    from .modules import regular_module
     reg = regular_module(x.algebra)
     proj_cat = AddCategory([reg], generator=True)
     res = c_resolution(x, proj_cat, bound)
@@ -439,7 +410,6 @@ def perfect_test(x: Complex, bound: int) -> PerfectReport:
     hom = homology_dims(x.trim())
     nonzero = [i for i, d in hom.items() if d != 0]
     cutoff = min(nonzero) if nonzero else q.hi + 1
-    p = x.algebra.p
     for n in range(cutoff - 1, res.safe_lo - 1, -1):
         im, _, _ = module_image(q.diff(n))
         if is_projective(im):
@@ -456,37 +426,12 @@ def homotopy_retraction(t: ChainMap, injectives_ok: AddCategory):
     return (s, h) with s ∘ t - id_I = d h + h d, or None if no solution exists.
     """
     i_cx, c_cx = t.source, t.target
-    p = i_cx.algebra.p
-    for term in i_cx.terms:
-        if term.dim == 0:
-            continue
-        for xj in injectives_ok.summands:
-            if ext_dims(xj, term, 1).dims[1] != 0:
-                raise HypothesesNotSatisfied(
-                    "a term of the source is not relatively injective")
-    degrees = list(range(min(i_cx.lo, c_cx.lo) - 1, max(i_cx.hi, c_cx.hi) + 2))
-    unknowns = {("s", i): HomSpace(c_cx.term(i), i_cx.term(i)) for i in degrees}
-    unknowns.update({("h", i): HomSpace(i_cx.term(i), i_cx.term(i - 1)) for i in degrees})
-    equations = []
-    for i in degrees[:-1]:
-        di = i_cx.diff(i).matrix
-        # chain condition: s^{i+1} d_C^i - d_I^i s^i = 0
-        equations.append(([(("s", i + 1), None, c_cx.diff(i).matrix),
-                           (("s", i), -di, None)],
-                          linalg.zeros(i_cx.term(i + 1).dim, c_cx.term(i).dim)))
-        # retraction up to homotopy: s^i t^i - d^{i-1} h^i - h^{i+1} d^i = id
-        equations.append(([(("s", i), None, t.component(i).matrix),
-                           (("h", i), -i_cx.diff(i - 1).matrix, None),
-                           (("h", i + 1), None, -di)],
-                          linalg.identity(i_cx.term(i).dim)))
-    sol = _solve_joint(unknowns, equations, p)
-    if sol is None:
-        return None
-    s_comps = {i: ModuleMap(c_cx.term(i), i_cx.term(i), sol["s", i])
-               for i in degrees if np.any(sol["s", i])}
-    h_comps = {i: ModuleMap(i_cx.term(i), i_cx.term(i - 1), sol["h", i])
-               for i in degrees if np.any(sol["h", i])}
-    return (ChainMap(c_cx, i_cx, s_comps), Homotopy(i_cx, i_cx, h_comps))
+    if any(term.dim and ext_dims(xj, term, 1).dims[1]
+           for term in i_cx.terms for xj in injectives_ok.summands):
+        raise HypothesesNotSatisfied("a term of the source is not relatively injective")
+    # s^i t^i - d^{i-1} h^i - h^{i+1} d^i = id
+    return _map_up_to_homotopy(c_cx, i_cx, i_cx, i_cx, None, t,
+                               lambda i: linalg.identity(i_cx.term(i).dim))
 
 
 @dataclass

@@ -212,8 +212,12 @@ def load_workspace(path: str) -> WorkspaceDocument:
             raw = json.load(fh)
     except OSError as e:
         raise WorkspaceError("/", f"cannot read workspace: {e}") from e
+    except UnicodeDecodeError as e:
+        raise WorkspaceError("/", f"workspace is not UTF-8: {e}") from e
     except json.JSONDecodeError as e:
         raise WorkspaceError("/", f"malformed JSON: {e}") from e
+    except RecursionError as e:
+        raise WorkspaceError("/", f"JSON nested too deeply: {e}") from e
     return parse_workspace(raw)
 
 

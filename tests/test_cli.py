@@ -565,3 +565,54 @@ def test_cli_call_imports_neither_argparse_nor_gettext():
     modules = set(modules.split())
     assert "homres.harness" in modules
     assert not modules & {"argparse", "gettext"}
+
+
+def test_cli_table_coefficient_beyond_int64_is_read_mod_p(tmp_path, capsys):
+    # 10**30 + 1 = 1 mod 2: T is GF(2) itself
+    algebra = {"kind": "table", "dim": 1, "structure": [[0, 0, 0, 10**30 + 1]],
+               "unit": [1]}
+    code, out = run_cli(capsys, "gldim", "--workspace", _table_workspace(tmp_path, algebra))
+    assert code == 0 and json.loads(out)["gldim"] == 0
+
+
+def _malformed(tmp_path, case):
+    """argv of an input that once ended in a traceback, and the start of the
+    reason its exit-2 body must give."""
+    path = tmp_path / "ws.json"
+    if case == "not-utf8":
+        path.write_bytes(b'\xff\xfe{"p": 2}')
+        return ["gldim", "--workspace", str(path)], "/: workspace is not UTF-8"
+    if case == "deep-nesting":
+        path.write_text("[" * 100_000)
+        return ["gldim", "--workspace", str(path)], "/: JSON nested too deeply"
+    if case.startswith("table-dim-"):
+        dim = {"table-dim-1e7": 10**7, "table-dim-1e30": 10**30}[case]
+        ws = _table_workspace(tmp_path, {"kind": "table", "dim": dim, "structure": [],
+                                         "unit": [1]})
+        return ["gldim", "--workspace", ws], f"/algebras/T: algebra dimension {dim}"
+    dest = str(tmp_path / "no-such-dir" / "report.json")
+    command = "gldim" if case == "unwritable-out" else "cone"  # cone: no such task
+    return ([command, "--workspace", KX2, "--out", dest],
+            f"argument --out: cannot write {dest!r}")
+
+
+@pytest.mark.parametrize("case", ["not-utf8", "deep-nesting", "table-dim-1e7",
+                                  "table-dim-1e30", "unwritable-out",
+                                  "unwritable-out-on-an-error"])
+def test_cli_malformed_input_exits_2(tmp_path, capsys, case):
+    argv, reason = _malformed(tmp_path, case)
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    body = json.loads(out)
+    assert body["status"] == "invalid-input" and body["reason"].startswith(reason)
+
+
+@pytest.mark.parametrize("case", ["not-utf8", "deep-nesting", "table-dim-1e30",
+                                  "unwritable-out"])
+def test_cli_malformed_input_exits_2_through_python_m(tmp_path, case):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(homres.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "homres.cli", *_malformed(tmp_path, case)[0]],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert json.loads(proc.stdout)["status"] == "invalid-input"
