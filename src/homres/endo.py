@@ -2,10 +2,11 @@
 
 B's basis is the rref-ordered hom basis of End(M); every B-side computation
 inherits that ordering, so runs are bit-reproducible.  When M is given as a
-direct sum of indecomposable summands, the radical of B is assembled from the
-block structure (all maps between non-isomorphic summands, the singular maps
-between isomorphic ones) — this is what makes gl.dim B computable at small
-characteristic, where no generic radical algorithm is available.
+direct sum of indecomposable summands, End(M) is assembled from the blocks
+Hom(M_i, M_j), each solved once, and so is the radical of B (all maps
+between non-isomorphic summands, the singular maps between isomorphic
+ones) — this is what makes gl.dim B computable at small characteristic,
+where no generic radical algorithm is available.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .modules import (
     HomSpace,
     Module,
     ModuleMap,
+    _holds_isomorphism,
     _nonzero_vectors,
-    direct_sum,
-    is_isomorphic,
+    _sum_hom_space,
     same_module,
     sum_module,
 )
@@ -61,28 +62,31 @@ def _singular_hom_subspace(space: HomSpace) -> np.ndarray:
     return rows[:len(piv)]
 
 
-def _radical_from_summands(m_sum, end: HomSpace) -> np.ndarray:
-    """Radical of End(⊕ M_i) in basis coordinates, from the block structure."""
-    rows = []
-    p, n = end.p, len(m_sum.injections)
-    summands = [inj.source for inj in m_sum.injections]
-    for i in range(n):
-        for j in range(n):
-            hij = HomSpace(summands[i], summands[j])
+def _radical_from_blocks(blocks: List[List[HomSpace]], end: HomSpace,
+                         offs: np.ndarray) -> np.ndarray:
+    """Radical of End(⊕ M_i) in basis coordinates, from the blocks
+    blocks[i][j] = Hom(M_i, M_j) that end was assembled from; M_i sits at
+    offset offs[i]."""
+    p, dim = end.p, end.stacked.shape[1]
+    maps = []
+    for i, row in enumerate(blocks):
+        for j, hij in enumerate(row):
             if not hij:
                 continue
-            if summands[i].dim == summands[j].dim and is_isomorphic(
-                    summands[i], summands[j]) is True:
+            h, dj, di = hij.stacked.shape
+            # a summand is isomorphic to itself; for two summands of equal
+            # dimension the block's Hom space decides
+            if i == j or (di == dj and _holds_isomorphism(hij) is True):
                 block_rows = _singular_hom_subspace(hij)
             else:
-                block_rows = linalg.identity(len(hij))
-            for r in block_rows:
-                into_j = linalg.mat_mul(m_sum.injections[j].matrix, hij.combine(r), p)
-                rows.append(end.coords(
-                    linalg.mat_mul(into_j, m_sum.projections[i].matrix, p)))
-    if not rows:
+                block_rows = linalg.identity(h)
+            placed = np.zeros((len(block_rows), dim, dim), dtype=np.int64)
+            placed[:, offs[j]:offs[j + 1], offs[i]:offs[i + 1]] = linalg.mat_mul(
+                block_rows, hij.stacked.reshape(h, dj * di), p).reshape(-1, dj, di)
+            maps.append(placed)
+    if not maps:
         return linalg.zeros(0, len(end))
-    red, piv = linalg.rref(np.array(rows, dtype=np.int64), p)
+    red, piv = linalg.rref(end.coords(np.concatenate(maps)), p)
     return red[:len(piv)]
 
 
@@ -91,28 +95,35 @@ def endomorphism_algebra(m: Module,
     """(End_A m)^op as structure constants: b_i . b_j corresponds to f_j ∘ f_i.
 
     When the declared indecomposable summands of m are supplied (their direct
-    sum must equal m on the nose), rad B is derived from the block structure
-    and validated as a nilpotent ideal, and B carries the summand projections
-    ι_j∘π_j as its primitive idempotents.  They are primitive because each
-    summand's End ring is local, the hypothesis the radical rests on too: a
+    sum must equal m on the nose), End(m) is assembled from the blocks
+    Hom(M_i, M_j), rad B is derived from the block structure and validated
+    as a nilpotent ideal, and B carries the summand projections ι_j∘π_j as
+    its primitive idempotents.  They are primitive because each summand's
+    End ring is local, the hypothesis the radical rests on too: a
     decomposable summand puts its idempotents into the derived radical, which
     then fails the nilpotency check with InvalidInput.
     """
     if m.dim == 0:
         raise InvalidInput("endomorphism algebra of the zero module is not supported")
     p = m.p
-    end = HomSpace(m, m)
+    radical = idempotents = None
+    if summands is None:
+        end = HomSpace(m, m)
+    else:
+        if not same_module(sum_module(summands), m):
+            raise InvalidInput("declared summands do not sum to the module on the nose")
+        blocks = [[HomSpace(x, y) for y in summands] for x in summands]
+        end = _sum_hom_space(m, m, blocks)
+        offs = np.cumsum([0] + [x.dim for x in summands])
+        radical = _radical_from_blocks(blocks, end, offs)
+        # ι_j∘π_j: the identity of block (j, j)
+        ident = np.zeros((len(summands), m.dim, m.dim), dtype=np.int64)
+        for j, x in enumerate(summands):
+            ident[j, offs[j]:offs[j + 1], offs[j]:offs[j + 1]] = linalg.identity(x.dim)
+        idempotents = end.coords(ident)
     # mult[i, j] = coordinates of f_j ∘ f_i
     mult = end.coords(linalg.mat_mul(end.stacked[None, :], end.stacked[:, None], p))
     unit = end.coords(linalg.identity(m.dim))
-    radical = idempotents = None
-    if summands is not None:
-        ds = direct_sum(summands)
-        if not same_module(ds.module, m):
-            raise InvalidInput("declared summands do not sum to the module on the nose")
-        radical = _radical_from_summands(ds, end)
-        idempotents = end.coords(np.stack([linalg.mat_mul(i.matrix, q.matrix, p)
-                                           for i, q in zip(ds.injections, ds.projections)]))
     b = Algebra(p=p, dim=len(end), mult=mult, unit=unit, radical=radical,
                 idempotents=idempotents)
     validate_algebra(b)  # also validates rad B when it was derived

@@ -174,8 +174,18 @@ class HomSpace:
     """
 
     def __init__(self, x: Module, y: Module):
+        self._set_basis(x, y, hom_basis(x, y))
+
+    @classmethod
+    def _on_basis(cls, x: Module, y: Module, basis: List[ModuleMap]) -> "HomSpace":
+        """The space on a basis that is hom_basis(x, y) itself, found another way."""
+        space = cls.__new__(cls)
+        space._set_basis(x, y, basis)
+        return space
+
+    def _set_basis(self, x: Module, y: Module, basis: List[ModuleMap]) -> None:
         self.p = x.p
-        self.basis = hom_basis(x, y)
+        self.basis = basis
         self.stacked = np.array([b.matrix for b in self.basis], dtype=np.int64).reshape(
             len(self.basis), y.dim, x.dim)
         self._rows = self.stacked.reshape(len(self.basis), y.dim * x.dim)
@@ -204,6 +214,33 @@ class HomSpace:
         return linalg.mat_mul(coeffs, self._rows, self.p).reshape(self.stacked.shape[1:])
 
 
+def _sum_hom_space(x: Module, y: Module, blocks: List[List[HomSpace]]) -> HomSpace:
+    """HomSpace(x, y) for x = ⊕ x_i and y = ⊕ y_j, from blocks[i][j] =
+    HomSpace(x_i, y_j) and without solving Hom(x, y) as one system.
+
+    The Hom equations of x and y decouple by block, so the rref of the whole
+    system is the union of the block rrefs, and a block's kernel row with
+    free column f = r·dim x_i + c is the kernel row of the whole system with
+    free column (off_j + r)·dim x + off_i + c, embedded at rows off_j and
+    columns off_i.  Ordered by those columns, the block maps are
+    hom_basis(x, y) entry for entry.
+    """
+    dx = [row[0].stacked.shape[2] for row in blocks]
+    dy = [space.stacked.shape[1] for space in blocks[0]]
+    offx, offy = np.cumsum([0] + dx), np.cumsum([0] + dy)
+    order = []  # (free column in Hom(x, y), i, j, k) for block map k of (i, j)
+    for i, row in enumerate(blocks):
+        for j, space in enumerate(row):
+            for k, f in enumerate(space._free):
+                r, c = divmod(f, dx[i])
+                order.append(((offy[j] + r) * x.dim + offx[i] + c, i, j, k))
+    order.sort()
+    stacked = np.zeros((len(order), y.dim, x.dim), dtype=np.int64)
+    for t, (_, i, j, k) in enumerate(order):
+        stacked[t, offy[j]:offy[j + 1], offx[i]:offx[i + 1]] = blocks[i][j].stacked[k]
+    return HomSpace._on_basis(x, y, [ModuleMap(x, y, mat) for mat in stacked])
+
+
 def _nonzero_vectors(h: int, p: int) -> Iterator[np.ndarray]:
     """Every nonzero vector of GF(p)^h in odometer order, coeffs[0] fastest."""
     tuples = itertools.product(range(p), repeat=h)
@@ -225,10 +262,14 @@ def is_isomorphic(x: Module, y: Module, seed: int = 0):
         return False
     if x.dim == 0:
         return True
-    space = HomSpace(x, y)
+    return _holds_isomorphism(HomSpace(x, y), seed)
+
+
+def _holds_isomorphism(space: HomSpace, seed: int = 0):
+    """is_isomorphic(x, y) read from space = HomSpace(x, y), dim x = dim y > 0."""
     if not space:
         return False
-    p = x.p
+    p = space.p
     for b in space.basis:
         if linalg.is_invertible(b.matrix, p):
             return True
@@ -303,10 +344,16 @@ def map_kernel(f: ModuleMap) -> Tuple[Module, ModuleMap]:
 
 def map_cokernel(f: ModuleMap) -> Tuple[Module, ModuleMap]:
     """Cokernel on the complement of the image's pivot columns, with projection."""
-    proj, lift = linalg.quotient_basis(f.matrix.T, f.p)  # row space = image of f
-    action = (proj @ f.target.action @ lift) % f.p
-    cm = Module(f.source.algebra, lift.shape[1], action)
-    return cm, ModuleMap(f.target, cm, proj)
+    return _quotient_on_rows(f.target, f.matrix.T)  # row space = image of f
+
+
+def _quotient_on_rows(x: Module, rows: np.ndarray) -> Tuple[Module, ModuleMap]:
+    """x modulo the span of rows, on the complement of its pivot columns, with
+    the projection; InvalidInput from the projection unless the span is a
+    submodule."""
+    proj, lift = linalg.quotient_basis(rows, x.p)
+    q = Module(x.algebra, lift.shape[1], (proj @ x.action @ lift) % x.p)
+    return q, ModuleMap(x, q, proj)
 
 
 def module_image(f: ModuleMap) -> Tuple[Module, ModuleMap, ModuleMap]:
@@ -403,6 +450,13 @@ def _fitting_split(x: Module) -> Optional[Tuple[Module, Module]]:
     return None
 
 
+def _not_rad_a(a: Algebra) -> InvalidInput:
+    """The error for a supplied radical that A/radical proves smaller than rad A."""
+    return InvalidInput(
+        f"the radical supplied for a dim-{a.dim} algebra over GF({a.p}) is "
+        "not rad A: A/radical has an indecomposable summand that is not simple")
+
+
 def simple_modules(a: Algebra) -> List[Module]:
     """Complete irredundant list of simple left modules.
 
@@ -431,9 +485,7 @@ def simple_modules(a: Algebra) -> List[Module]:
         split = _fitting_split(v)
         if split is None:  # v is indecomposable
             if not _spin_is_simple(v):
-                raise InvalidInput(
-                    f"the radical supplied for a dim-{a.dim} algebra over GF({a.p}) is "
-                    "not rad A: A/radical has an indecomposable summand that is not simple")
+                raise _not_rad_a(a)
             return [v]
         left, right = split
         return decompose(left) + decompose(right)

@@ -52,6 +52,9 @@ from .modules import (
     regular_module,
     simple_modules,
     sum_module,
+    _not_rad_a,
+    _quotient_on_rows,
+    _spin_is_simple,
     _submodule_on_rows,
 )
 
@@ -405,10 +408,46 @@ def inj_dim(t: Module, bound: int):
     return 0 if t.dim == 0 else proj_dim(dual_module(t), bound)
 
 
+def _vertex_tops(a: Algebra) -> List[Module]:
+    """The tops S_v = P_v/rad·P_v of the vertex projectives, each certified
+    simple; InvalidInput, as from simple_modules, if one is not.
+
+    Every simple module is one of them, some maybe more than once.  For the
+    rows R of radical_basis, simple tops and sum_v dim R·P_v = dim R (that
+    is, R·A = R) make A/R = ⊕ S_v semisimple, so rad A ⊆ R.  R ⊆ rad A is
+    the algebra's own: a validated nilpotent ideal for B, the arrow ideal of
+    a quiver algebra.
+    """
+    rad = radical_basis(a)
+    tops, spanned = [], 0
+    for _, pv in _vertex_projectives(a):
+        span, piv = _rad_span(pv, rad)
+        spanned += len(piv)
+        try:  # validates S_v: its projection intertwines iff R·P_v is a submodule
+            top = _quotient_on_rows(pv, span)[0]
+        except InvalidInput:
+            raise _not_rad_a(a) from None
+        if not _spin_is_simple(top):
+            raise _not_rad_a(a)
+        tops.append(top)
+    if spanned != len(rad):
+        raise _not_rad_a(a)
+    return tops
+
+
 def gl_dim(a: Algebra, bound: int):
-    """Max of proj_dim over the simple modules; EXCEEDS_BOUND if any exceeds."""
+    """Max of proj_dim over the simple modules; EXCEEDS_BOUND if any exceeds.
+
+    Over an algebra with primitive idempotents and a proven radical the
+    simples are the tops of its vertex projectives; elsewhere simple_modules
+    splits A/rad A into them.
+    """
+    if a.idempotents is None or a.radical_unproven:
+        simples = simple_modules(a)
+    else:
+        simples = _vertex_tops(a)
     best = 0
-    for s in simple_modules(a):
+    for s in simples:
         d = proj_dim(s, bound)
         if d is EXCEEDS_BOUND or d == EXCEEDS_BOUND:
             return EXCEEDS_BOUND

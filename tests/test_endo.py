@@ -239,3 +239,24 @@ def test_verify_theorem2_frontier_rungs_under_1gb():
     assert done.returncode == 0, done.stderr[-2000:]
     assert json.loads(done.stdout) == [[0, 2, True, 30], [0, 2, True, 15],
                                        [0, 2, True, 55], [0, 2, True, 20]]
+
+
+# rad^2-zero A_14 alone, built by linear(m) of _FRONTIER_RUNGS
+_A14_RUNG = _FRONTIER_RUNGS.split("\nout = []")[0] + """
+a, t, mods = linear(14)
+rep = verify_theorem2(a, t, AddCategory(mods), 2)
+print(json.dumps([rep.injdim_t, rep.gldim_b, rep.verdict, rep.b_dim]))
+"""
+
+
+def test_verify_theorem2_a14_under_1gb():
+    # End(M) from the blocks Hom(M_i, M_j) never solves the one
+    # (43200, 1600) Hom(M, M) system that ran out of memory here
+    src = os.path.dirname(os.path.dirname(os.path.abspath(homres.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _A14_RUNG], env=env,
+                          capture_output=True, text=True, timeout=600,
+                          preexec_fn=_cap_address_space)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert json.loads(done.stdout) == [0, 2, True, 65]
