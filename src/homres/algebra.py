@@ -172,7 +172,7 @@ def from_table(p: int, dim: int, structure: Sequence[Tuple[int, int, int, int]],
         raise InvalidInput(f"algebra dimension {dim} is negative")
     try:
         mult = np.zeros((dim, dim, dim), dtype=np.int64)
-    except ValueError as e:  # numpy cannot shape dim^3 entries at all
+    except (ValueError, MemoryError) as e:  # numpy cannot shape or allocate dim^3 entries
         raise InvalidInput(f"algebra dimension {dim} is too large: {e}") from None
     for i, j, k, c in structure:
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):

@@ -1,8 +1,11 @@
 """Right add(M)-approximations and everything built from them.
 
 add(M) is presented by an explicit list of summands (the user's candidate
-indecomposables); approximations are full Hom-basis evaluations, so the
-defining lifting property holds by construction and is still re-verified.
+indecomposables).  Approximations are full Hom-basis evaluations built from
+the small spaces Hom(M_j, x): the lifting property holds by construction and
+is re-verified on explicit lifts, the inclusion of each summand copy into the
+source.  Add-membership solves its section over the spaces Hom(x, M_j); no
+Hom space into the approximation source is ever solved.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ from .modules import (
     HomSpace,
     Module,
     ModuleMap,
-    hom_basis,
-    identity_map,
     regular_module,
     sum_module,
 )
@@ -31,7 +32,8 @@ from .resolutions import EXCEEDS_BOUND, Resolution, _resolve, ext_dims
 class AddCategory:
     """add(M) for M = the direct sum of the declared summands."""
     summands: List[Module]
-    generator: bool = False  # caller asserts _AA ∈ add(M); verified on use
+    # the caller's claim that _AA ∈ add(M); recorded only, nothing reads it
+    generator: bool = False
 
     def __post_init__(self):
         if not self.summands:
@@ -56,45 +58,68 @@ class Approximation:
     piece_homs: List[ModuleMap]  # the Hom-basis element each copy evaluates
 
 
-def right_approximation(x: Module, c: AddCategory) -> Approximation:
+def _summand_homs(x: Module, c: AddCategory, blocks: Optional[List[List[HomSpace]]],
+                  into: bool) -> List[HomSpace]:
+    """Hom(M_j, x) (into) or Hom(x, M_j) for every summand M_j, in order.
+
+    blocks, when given, is the table blocks[i][j] = HomSpace(M_i, M_j) of the
+    summands of c, as EndoContext keeps it; when x is the summand M_i itself,
+    the spaces are read from its row or column and nothing is solved.
+    """
+    ms = c.summands
+    if blocks is not None:
+        shapes = [[space.stacked.shape[1:] for space in row] for row in blocks]
+        if shapes != [[(y.dim, m.dim) for y in ms] for m in ms]:
+            raise InvalidInput("the Hom block table does not match the add-category")
+    i = next((i for i, m in enumerate(ms) if m is x), None)
+    if blocks is None or i is None:
+        return [HomSpace(m, x) if into else HomSpace(x, m) for m in ms]
+    return [blocks[j][i] if into else blocks[i][j] for j in range(len(ms))]
+
+
+def right_approximation(x: Module, c: AddCategory,
+                        blocks: Optional[List[List[HomSpace]]] = None) -> Approximation:
     """Evaluation of the whole Hom basis: M_0 = ⊕_j M_j^{dim Hom(M_j, x)}.
 
-    The lifting contract — Hom(M_j, f) surjective for every summand — is
-    re-verified before returning.
+    The lifting contract, Hom(M_j, f) surjective for every summand, is
+    re-verified before returning on its witnesses (_lifts_witnessed).
+    blocks: see _summand_homs.
     """
     if not same_algebra(x.algebra, c.algebra):
         raise InvalidInput("module and add-category live over different algebras")
-    homs = [(m, hom_basis(m, x)) for m in c.summands]
-    pieces = [m for m, basis in homs for _ in basis]
-    piece_homs = [h for _, basis in homs for h in basis]
+    spaces = _summand_homs(x, c, blocks, into=True)
+    pieces = [m for m, space in zip(c.summands, spaces) for _ in space.basis]
+    piece_homs = [h for space in spaces for h in space.basis]
     matrix = np.hstack([linalg.zeros(x.dim, 0)] + [h.matrix for h in piece_homs])
     f = ModuleMap(sum_module(pieces, algebra=x.algebra), x, matrix % x.p)
-    if not _lifting_holds(homs, f):
+    if not _lifts_witnessed(f, pieces, piece_homs):
         raise InternalError("approximation lifting contract failed")
     return Approximation(f, pieces, piece_homs)
 
 
-def _lifting_holds(homs, f: ModuleMap) -> bool:
-    """Whether every h of every (M_j, [h, ...]) in homs factors through f:
-    one Hom(M_j, f.source) and one multi-column solve per summand."""
-    for m, basis in homs:
-        if basis and _lifts(m, np.stack([h.matrix for h in basis]), f)[1] is None:
+def _lifts_witnessed(f: ModuleMap, pieces: List[Module],
+                     piece_homs: List[ModuleMap]) -> bool:
+    """Whether f ∘ ι_k = h_k for the inclusion ι_k of every piece k.
+
+    The h_k of a summand M_j span Hom(M_j, x), so every map M_j -> x is a
+    combination of them and factors through f: the lifting contract.
+    """
+    off = 0
+    for m, h in zip(pieces, piece_homs):
+        inclusion = linalg.zeros(f.source.dim, m.dim)
+        inclusion[off:off + m.dim] = linalg.identity(m.dim)
+        off += m.dim
+        lift = ModuleMap(m, f.source, inclusion)
+        if not np.array_equal(linalg.mat_mul(f.matrix, lift.matrix, f.p), h.matrix):
             return False
     return True
 
 
-def _lifts(x: Module, targets: np.ndarray, f: ModuleMap):
-    """(Hom(x, f.source), coords): column k of coords holds the coordinates of
-    a g with f ∘ g = targets[k], or coords is None when some target does not
-    factor through f."""
-    space = HomSpace(x, f.source)
-    cols = ((f.matrix @ space.stacked) % f.p).reshape(len(space), targets[0].size).T
-    return space, linalg.solve_linear(cols, targets.reshape(len(targets), -1).T, f.p)
-
-
 def _factor_through(h: ModuleMap, f: ModuleMap) -> Optional[ModuleMap]:
     """g with f ∘ g = h, or None; g is searched inside Hom(h.source, f.source)."""
-    space, sol = _lifts(h.source, h.matrix[None], f)
+    space = HomSpace(h.source, f.source)
+    cols = ((f.matrix @ space.stacked) % f.p).reshape(len(space), h.matrix.size).T
+    sol = linalg.solve_linear(cols, h.matrix.reshape(-1), f.p)
     return None if sol is None else ModuleMap(h.source, f.source, space.combine(sol))
 
 
@@ -109,14 +134,32 @@ class Membership:
         return self.member
 
 
-def add_membership(x: Module, c: AddCategory) -> Membership:
-    """x ∈ add(M) iff the right approximation onto x splits."""
+def add_membership(x: Module, c: AddCategory,
+                   blocks: Optional[List[List[HomSpace]]] = None) -> Membership:
+    """x ∈ add(M) iff the right approximation f onto x splits.
+
+    The section s is solved over the blocks: its coordinates in the spaces
+    Hom(x, M_j) of the pieces, in piece order (the basis order of
+    Hom(x, M_0)), with sum_k h_k ∘ s_k = id_x.  blocks: see _summand_homs.
+    """
     if x.dim == 0:
         return Membership(True)
-    approx = right_approximation(x, c)
-    section = _factor_through(identity_map(x), approx.map)
-    if section is None:
+    approx = right_approximation(x, c, blocks)
+    # Hom(x, M_j) of the summand each piece copies
+    out = {id(m): space for m, space in
+           zip(c.summands, _summand_homs(x, c, blocks, into=False))}
+    spaces = [out[id(m)] for m in approx.pieces]
+    cells = x.dim * x.dim
+    cols = np.concatenate([linalg.zeros(0, cells)] + [
+        linalg.mat_mul(h.matrix, space.stacked, x.p).reshape(len(space), cells)
+        for h, space in zip(approx.piece_homs, spaces)])
+    sol = linalg.solve_linear(cols.T, linalg.identity(x.dim).reshape(-1), x.p)
+    if sol is None:
         return Membership(False, approximation=approx)
+    offs = np.cumsum([0] + [len(space) for space in spaces])
+    matrix = np.concatenate([linalg.zeros(0, x.dim)] + [
+        space.combine(sol[offs[k]:offs[k + 1]]) for k, space in enumerate(spaces)])
+    section = ModuleMap(x, approx.map.source, matrix)
     return Membership(True, section=section, approximation=approx)
 
 

@@ -40,6 +40,8 @@ class EndoContext:
     b: Algebra
     basis_maps: List[ModuleMap]  # basis of End(M); index i <-> basis element b_i
     summands: Optional[List[Module]] = None
+    # blocks[i][j] = Hom(summands[i], summands[j]), the spaces B was built from
+    blocks: Optional[List[List[HomSpace]]] = None
 
 
 def _singular_hom_subspace(space: HomSpace) -> np.ndarray:
@@ -106,7 +108,7 @@ def endomorphism_algebra(m: Module,
     if m.dim == 0:
         raise InvalidInput("endomorphism algebra of the zero module is not supported")
     p = m.p
-    radical = idempotents = None
+    radical = idempotents = blocks = None
     if summands is None:
         end = HomSpace(m, m)
     else:
@@ -127,7 +129,8 @@ def endomorphism_algebra(m: Module,
     b = Algebra(p=p, dim=len(end), mult=mult, unit=unit, radical=radical,
                 idempotents=idempotents)
     validate_algebra(b)  # also validates rad B when it was derived
-    return EndoContext(m=m, b=b, basis_maps=end.basis, summands=summands)
+    return EndoContext(m=m, b=b, basis_maps=end.basis, summands=summands,
+                       blocks=blocks)
 
 
 def hom_functor(ctx: EndoContext, x: Module) -> Module:
@@ -199,7 +202,7 @@ def verify_theorem2(a: Algebra, t: Module, c: AddCategory, r: int,
     spot_results = []
     for x in (spot_check_modules or []):
         in_perp = perp_membership(x, t, int(injdim_t))
-        in_add = bool(add_membership(x, c))
+        in_add = bool(add_membership(x, c, blocks=ctx.blocks))
         spot_results.append(in_perp == in_add or (in_add and in_perp))
         if in_perp and not in_add:
             raise HypothesesNotSatisfied(

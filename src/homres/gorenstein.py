@@ -134,7 +134,10 @@ def relative_auslander(a: Algebra, gp_list: List[Module], bound: int, *,
                 raise HypothesesNotSatisfied(
                     f"list entries {i} and {j} are not certified pairwise "
                     "non-isomorphic")
-    if not add_membership(reg, AddCategory(gp_list)):
+    # the listed copy of A, whose Hom spaces to the list the Theorem-2 report holds
+    listed_a = next((g for g in gp_list if same_module(g, reg)), reg)
+    blocks = theorem2.ctx.blocks if theorem2 is not None else None
+    if not add_membership(listed_a, AddCategory(gp_list), blocks=blocks):
         raise HypothesesNotSatisfied(
             "the projective indecomposables are not all represented in the list")
     if theorem2 is not None:

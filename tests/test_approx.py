@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from homres import approx, linalg
 from homres.approx import (
     AddCategory,
-    _lifting_holds,
+    _lifts_witnessed,
     addM_resolution,
     add_membership,
     auslander_bridger_check,
@@ -129,6 +129,27 @@ def test_auslander_bridger_rejects_mismatched_targets():
 
 
 # -- the lifting contract: one solve per summand against one per piece ---------
+#
+# _lifting_holds and _lifts are the earlier contract check of
+# right_approximation, kept as the oracle of its witness certificate.
+
+
+def _lifting_holds(homs, f: ModuleMap) -> bool:
+    """Whether every h of every (M_j, [h, ...]) in homs factors through f:
+    one Hom(M_j, f.source) and one multi-column solve per summand."""
+    for m, basis in homs:
+        if basis and _lifts(m, np.stack([h.matrix for h in basis]), f)[1] is None:
+            return False
+    return True
+
+
+def _lifts(x, targets: np.ndarray, f: ModuleMap):
+    """(Hom(x, f.source), coords): column k of coords holds the coordinates of
+    a g with f ∘ g = targets[k], or coords is None when some target does not
+    factor through f."""
+    space = HomSpace(x, f.source)
+    cols = ((f.matrix @ space.stacked) % f.p).reshape(len(space), targets[0].size).T
+    return space, linalg.solve_linear(cols, targets.reshape(len(targets), -1).T, f.p)
 
 
 def _factors_per_piece(h, f):
@@ -168,6 +189,11 @@ def test_lifting_check_per_summand_matches_per_piece(name, p, pick, subset, mode
             f = ModuleMap(f.source, x, space.combine(rng.integers(0, p, len(space))))
     homs = [(m, hom_basis(m, x)) for m in summands]
     assert _lifting_holds(homs, f) == all(_factors_per_piece(h, f) for h in ap.piece_homs)
+    # the certificate right_approximation checks: it holds on every exact
+    # approximation, and wherever it holds the contract does
+    witnessed = _lifts_witnessed(f, ap.pieces, ap.piece_homs)
+    assert witnessed or mode != "exact"
+    assert not witnessed or _lifting_holds(homs, f)
 
 
 def test_approximation_with_the_identity_piece_zeroed_is_refused(monkeypatch):

@@ -586,7 +586,8 @@ def _malformed(tmp_path, case):
         path.write_text("[" * 100_000)
         return ["gldim", "--workspace", str(path)], "/: JSON nested too deeply"
     if case.startswith("table-dim-"):
-        dim = {"table-dim-1e7": 10**7, "table-dim-1e30": 10**30}[case]
+        dim = {"table-dim-1e5": 10**5, "table-dim-1e7": 10**7,
+               "table-dim-1e30": 10**30}[case]
         ws = _table_workspace(tmp_path, {"kind": "table", "dim": dim, "structure": [],
                                          "unit": [1]})
         return ["gldim", "--workspace", ws], f"/algebras/T: algebra dimension {dim}"
@@ -598,7 +599,7 @@ def _malformed(tmp_path, case):
 
 @pytest.mark.parametrize("case", ["not-utf8", "deep-nesting", "table-dim-1e7",
                                   "table-dim-1e30", "unwritable-out",
-                                  "unwritable-out-on-an-error"])
+                                  "unwritable-out-on-an-error", "table-dim-1e5"])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, case):
     argv, reason = _malformed(tmp_path, case)
     code, out = run_cli(capsys, *argv)
