@@ -102,15 +102,19 @@ def _lifts_witnessed(f: ModuleMap, pieces: List[Module],
     """Whether f ∘ ι_k = h_k for the inclusion ι_k of every piece k.
 
     The h_k of a summand M_j span Hom(M_j, x), so every map M_j -> x is a
-    combination of them and factors through f: the lifting contract.
+    combination of them and factors through f: the lifting contract.  ι_k,
+    the identity on rows and columns [off, off + dim M_j) of M_0, is a map
+    iff M_0 acts on those columns by M_j's action inside the rows and by 0
+    outside them; f ∘ ι_k is the same column block of f.
     """
-    off = 0
+    action, off = f.source.action, 0
     for m, h in zip(pieces, piece_homs):
-        inclusion = linalg.zeros(f.source.dim, m.dim)
-        inclusion[off:off + m.dim] = linalg.identity(m.dim)
+        cols = slice(off, off + m.dim)
         off += m.dim
-        lift = ModuleMap(m, f.source, inclusion)
-        if not np.array_equal(linalg.mat_mul(f.matrix, lift.matrix, f.p), h.matrix):
+        inside = np.array_equal(action[:, cols, cols], m.action)
+        outside = (not action[:, :cols.start, cols].any()
+                   and not action[:, cols.stop:, cols].any())
+        if not (inside and outside and np.array_equal(f.matrix[:, cols], h.matrix)):
             return False
     return True
 

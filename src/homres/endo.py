@@ -3,34 +3,24 @@
 B's basis is the rref-ordered hom basis of End(M); every B-side computation
 inherits that ordering, so runs are bit-reproducible.  When M is given as a
 direct sum of indecomposable summands, End(M) is assembled from the blocks
-Hom(M_i, M_j), each solved once, and so is the radical of B (all maps
-between non-isomorphic summands, the singular maps between isomorphic
-ones) — this is what makes gl.dim B computable at small characteristic,
-where no generic radical algorithm is available.
+Hom(M_i, M_j), each solved once, and so is the radical of B: J(End M_i) is
+the kernel of the p-power map modulo commutators, and a map M_i -> M_j is
+radical iff every map back composes with it into J(End M_i).  Both are
+kernels of linear maps, so rad B is exact at every supported prime.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import linalg
 from .algebra import Algebra, same_algebra, validate_algebra
 from .approx import AddCategory, add_membership, perp_membership
-from .errors import HypothesesNotSatisfied, InvalidInput, SearchExhausted
-from .modules import (
-    EXHAUSTIVE_CAP,
-    HomSpace,
-    Module,
-    ModuleMap,
-    _holds_isomorphism,
-    _nonzero_vectors,
-    _sum_hom_space,
-    same_module,
-    sum_module,
-)
+from .errors import HypothesesNotSatisfied, InvalidInput
+from .modules import HomSpace, Module, ModuleMap, _sum_hom_space, same_module, sum_module
 from .resolutions import EXCEEDS_BOUND, gl_dim, inj_dim
 
 
@@ -44,52 +34,93 @@ class EndoContext:
     blocks: Optional[List[List[HomSpace]]] = None
 
 
-def _singular_hom_subspace(space: HomSpace) -> np.ndarray:
-    """Rows (in Hom-basis coordinates) spanning the non-isomorphisms in
-    space = Hom(x, y).
+def _local_radical(space: HomSpace) -> np.ndarray:
+    """Rows (in Hom-basis coordinates) spanning J(E) for E = space = End(x),
+    x indecomposable.
 
-    Valid when x and y are indecomposable (local endomorphism rings), where
-    the non-isomorphisms form a subspace; found by exhaustive enumeration.
+    The span C of the commutators [b_a, b_b] is mapped into itself by
+    f |-> f^p, which is additive modulo C (Jacobson's formula).  So for
+    q = p^k the map f |-> f^q mod C is linear, and J is its kernel for the
+    least q >= dim x: on J, f^q = 0; off J, f^q is a unit, while C lies in
+    J because E/J is a field.
+
+    InvalidInput unless E is local, as far as E alone shows it: a basis
+    element neither nilpotent nor invertible, or an E/J whose Frobenius
+    fixes more than GF(p) (a product of fields).  _radical_from_blocks
+    completes the certificate by checking that J is a left ideal of E.
     """
-    h, dy, dx = space.stacked.shape
-    if h == 0 or dy != dx:
-        return linalg.identity(h)  # nothing invertible: the whole space
+    h, d, _ = space.stacked.shape
     p = space.p
-    if p ** h > EXHAUSTIVE_CAP:
-        raise SearchExhausted(
-            "radical block needs exhaustive enumeration beyond the cap")
-    singular = [c for c in _nonzero_vectors(h, p)
-                if not linalg.is_invertible(space.combine(c), p)]
-    rows, piv = linalg.rref(np.array(singular, dtype=np.int64).reshape(-1, h), p)
-    return rows[:len(piv)]
+    if h == 1:  # E = GF(p)·1
+        return linalg.zeros(0, 1)
+    q = 1
+    while q < d:
+        q *= p
+    powers = linalg.mat_pow(space.stacked, q, p)
+    if any(f.any() and linalg.rank(f, p) < d for f in powers):
+        raise _not_local()
+    a, b = np.triu_indices(h, 1)
+    commutators = (linalg.mat_mul(space.stacked[a], space.stacked[b], p)
+                   - linalg.mat_mul(space.stacked[b], space.stacked[a], p))
+    coords = space.coords(np.concatenate([powers, commutators]))
+    mod_c = linalg.quotient_basis(coords[h:], p)[0]
+    radical = linalg.kernel_basis(linalg.mat_mul(mod_c, coords[:h].T, p), p)
+    if h - len(radical) > 1:
+        # C ⊆ J makes E/J commutative, and J a left ideal makes it semisimple:
+        # a product of fields, one per line that its Frobenius fixes
+        mod_j, lift = linalg.quotient_basis(radical, p)
+        frob = space.coords(linalg.mat_pow(space.stacked[lift.any(axis=1)], p, p))
+        fixed = linalg.mat_mul(mod_j, frob.T, p) - linalg.identity(len(mod_j))
+        if len(linalg.kernel_basis(fixed, p)) != 1:
+            raise _not_local()
+    return radical
 
 
-def _radical_from_blocks(blocks: List[List[HomSpace]], end: HomSpace,
-                         offs: np.ndarray) -> np.ndarray:
-    """Radical of End(⊕ M_i) in basis coordinates, from the blocks
-    blocks[i][j] = Hom(M_i, M_j) that end was assembled from; M_i sits at
-    offset offs[i]."""
-    p, dim = end.p, end.stacked.shape[1]
-    maps = []
-    for i, row in enumerate(blocks):
-        for j, hij in enumerate(row):
-            if not hij:
-                continue
-            h, dj, di = hij.stacked.shape
-            # a summand is isomorphic to itself; for two summands of equal
-            # dimension the block's Hom space decides
-            if i == j or (di == dj and _holds_isomorphism(hij) is True):
-                block_rows = _singular_hom_subspace(hij)
-            else:
-                block_rows = linalg.identity(h)
-            placed = np.zeros((len(block_rows), dim, dim), dtype=np.int64)
-            placed[:, offs[j]:offs[j + 1], offs[i]:offs[i + 1]] = linalg.mat_mul(
-                block_rows, hij.stacked.reshape(h, dj * di), p).reshape(-1, dj, di)
-            maps.append(placed)
-    if not maps:
-        return linalg.zeros(0, len(end))
-    red, piv = linalg.rref(end.coords(np.concatenate(maps)), p)
-    return red[:len(piv)]
+def _not_local() -> InvalidInput:
+    return InvalidInput("a declared summand is not indecomposable: "
+                        "its End ring is not local")
+
+
+def _summand_blocks(maps: np.ndarray, dims: List[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """The arrays of i and of j for a stack of nonzero maps of ⊕ M_k that
+    each lie in one block Hom(M_i, M_j), as End(⊕ M_k)'s basis maps do;
+    dims[k] = dim M_k."""
+    ends = np.cumsum(dims)
+    rows, cols = np.divmod(np.argmax(maps.reshape(len(maps), -1) != 0, axis=1),
+                           maps.shape[2])
+    return (np.searchsorted(ends, cols, side="right"),
+            np.searchsorted(ends, rows, side="right"))
+
+
+def _radical_from_blocks(radicals: List[np.ndarray], dims: List[int], end: HomSpace,
+                         mult: np.ndarray) -> np.ndarray:
+    """Radical of End(⊕ M_i) in basis coordinates, for end assembled from
+    the blocks Hom(M_i, M_j), dim M_i = dims[i] and radicals[i] =
+    _local_radical(Hom(M_i, M_i)), from B's table mult[k, a] = coordinates
+    of f_a ∘ f_k.
+
+    With every End(M_i) local, f in Hom(M_i, M_j) is radical iff g∘f lies
+    in J(End M_i) for every g in Hom(M_j, M_i) (Auslander-Reiten-Smalø,
+    ch. V), whether or not M_i ≅ M_j.  So rad B is one kernel: the f whose
+    every f_a ∘ f has its diagonal blocks in ⊕ J(End M_i), read off mult,
+    whose block (i, i) coordinates are End(M_i)'s.  On block (i, i) the
+    kernel is the largest left ideal inside J(End M_i); it must be all of
+    it, or End(M_i) is not local (InvalidInput).
+    """
+    p, n = end.p, len(end)
+    source, target = _summand_blocks(end.stacked, dims)
+    diagonal = [np.flatnonzero((source == i) & (target == i)) for i in range(len(dims))]
+    # system[k, a, t]: coordinate t of the diagonal blocks of f_a ∘ f_k, each
+    # modulo its J(End M_i)
+    system = np.concatenate([
+        linalg.mat_mul(mult[:, :, rows], linalg.quotient_basis(rad, p)[0].T, p)
+        for rows, rad in zip(diagonal, radicals)], axis=2)
+    radical = linalg.kernel_basis(system.transpose(1, 2, 0).reshape(-1, n), p)
+    # each kernel row lies in one block; those on the diagonal span the left ideals
+    on_diagonal = radical[:, np.concatenate(diagonal)].any(axis=1)
+    if np.count_nonzero(on_diagonal) != sum(len(rad) for rad in radicals):
+        raise _not_local()
+    return radical
 
 
 def endomorphism_algebra(m: Module,
@@ -98,12 +129,13 @@ def endomorphism_algebra(m: Module,
 
     When the declared indecomposable summands of m are supplied (their direct
     sum must equal m on the nose), End(m) is assembled from the blocks
-    Hom(M_i, M_j), rad B is derived from the block structure and validated
-    as a nilpotent ideal, and B carries the summand projections ι_j∘π_j as
-    its primitive idempotents.  They are primitive because each summand's
-    End ring is local, the hypothesis the radical rests on too: a
-    decomposable summand puts its idempotents into the derived radical, which
-    then fails the nilpotency check with InvalidInput.
+    Hom(M_i, M_j), rad B is derived from them and validated as a nilpotent
+    ideal, and B carries the summand projections ι_j∘π_j as its idempotents.
+    The derivation assumes that every summand's End ring E is local, and
+    certifies it by linear algebra at every prime: the derived J(E) is a
+    left ideal and E/J(E) a field.  That makes the derived radical all of
+    rad B and each ι_jπ_j primitive.  A decomposable summand is refused with
+    InvalidInput.
     """
     if m.dim == 0:
         raise InvalidInput("endomorphism algebra of the zero module is not supported")
@@ -116,8 +148,9 @@ def endomorphism_algebra(m: Module,
             raise InvalidInput("declared summands do not sum to the module on the nose")
         blocks = [[HomSpace(x, y) for y in summands] for x in summands]
         end = _sum_hom_space(m, m, blocks)
+        # refuses a summand that is not local before the table below is built
+        radicals = [_local_radical(row[i]) for i, row in enumerate(blocks)]
         offs = np.cumsum([0] + [x.dim for x in summands])
-        radical = _radical_from_blocks(blocks, end, offs)
         # ι_j∘π_j: the identity of block (j, j)
         ident = np.zeros((len(summands), m.dim, m.dim), dtype=np.int64)
         for j, x in enumerate(summands):
@@ -125,6 +158,8 @@ def endomorphism_algebra(m: Module,
         idempotents = end.coords(ident)
     # mult[i, j] = coordinates of f_j ∘ f_i
     mult = end.coords(linalg.mat_mul(end.stacked[None, :], end.stacked[:, None], p))
+    if summands is not None:
+        radical = _radical_from_blocks(radicals, [x.dim for x in summands], end, mult)
     unit = end.coords(linalg.identity(m.dim))
     b = Algebra(p=p, dim=len(end), mult=mult, unit=unit, radical=radical,
                 idempotents=idempotents)

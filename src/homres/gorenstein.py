@@ -9,23 +9,16 @@ stable-category search and is deliberately not attempted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from . import linalg
 from .algebra import Algebra, opposite, same_algebra
 from .approx import AddCategory, add_membership, perp_membership, right_approximation
-from .endo import EndoContext, Theorem2Report, endomorphism_algebra
+from .endo import EndoContext, Theorem2Report, _summand_blocks, endomorphism_algebra
 from .errors import HypothesesNotSatisfied, InternalError, InvalidInput
-from .modules import (
-    Module,
-    dual_module,
-    is_isomorphic,
-    map_kernel,
-    regular_module,
-    same_module,
-    sum_module,
-    UNDECIDED,
-)
+from .modules import Module, dual_module, map_kernel, regular_module, same_module, sum_module
 from .resolutions import EXCEEDS_BOUND, ext_dims, gl_dim, inj_dim
 
 
@@ -95,6 +88,22 @@ class RelativeAuslanderReport:
         return self.gldim_b != EXCEEDS_BOUND
 
 
+def _isomorphic_pair(ctx: EndoContext) -> Optional[Tuple[int, int]]:
+    """The first pair i < j of isomorphic summands of B = (End ⊕ M_i)^op.
+
+    The summands are indecomposable, so M_i ≅ M_j iff Hom(M_i, M_j) holds a
+    map outside rad B: read off B's radical, with no Hom space solved.
+    """
+    b = ctx.b
+    source, target = _summand_blocks(np.stack([f.matrix for f in ctx.basis_maps]),
+                                     [x.dim for x in ctx.summands])
+    # column t of the projection B -> B/rad B is zero iff b_t lies in rad B
+    outside = linalg.quotient_basis(b.radical, b.p)[0].any(axis=0)
+    pairs = sorted((min(i, j), max(i, j))
+                   for i, j in zip(source[outside], target[outside]) if i != j)
+    return pairs[0] if pairs else None
+
+
 def relative_auslander(a: Algebra, gp_list: List[Module], bound: int, *,
                        gorenstein: Optional[GorensteinReport] = None,
                        theorem2: Optional[Theorem2Report] = None
@@ -102,8 +111,8 @@ def relative_auslander(a: Algebra, gp_list: List[Module], bound: int, *,
     """B = (End ⊕ gp_list)^op for a declared complete Gorenstein-projective list.
 
     Witness checks: a Gorenstein within the bound; every entry GP; entries
-    pairwise non-isomorphic; the projectives contained (the regular module is
-    an add-member of the list).
+    pairwise non-isomorphic (read off rad B); the projectives contained (the
+    regular module is an add-member of the list).
 
     Stages computed earlier may be passed in: `gorenstein`, is_gorenstein(a,
     bound); `theorem2`, a Theorem-2 report within the same bound whose
@@ -127,24 +136,19 @@ def relative_auslander(a: Algebra, gp_list: List[Module], bound: int, *,
         if not gp_certified[-1]:
             raise HypothesesNotSatisfied(
                 f"list entry {i} is not Gorenstein-projective")
-    for i in range(len(gp_list)):
-        for j in range(i + 1, len(gp_list)):
-            verdict = is_isomorphic(gp_list[i], gp_list[j])
-            if verdict is True or verdict is UNDECIDED:
-                raise HypothesesNotSatisfied(
-                    f"list entries {i} and {j} are not certified pairwise "
-                    "non-isomorphic")
-    # the listed copy of A, whose Hom spaces to the list the Theorem-2 report holds
+    ctx = (theorem2.ctx if theorem2 is not None
+           else endomorphism_algebra(sum_module(gp_list), summands=gp_list))
+    pair = _isomorphic_pair(ctx)
+    if pair is not None:
+        raise HypothesesNotSatisfied(
+            f"list entries {pair[0]} and {pair[1]} are not certified pairwise "
+            "non-isomorphic")
+    # the listed copy of A, whose Hom spaces to the list B's block table holds
     listed_a = next((g for g in gp_list if same_module(g, reg)), reg)
-    blocks = theorem2.ctx.blocks if theorem2 is not None else None
-    if not add_membership(listed_a, AddCategory(gp_list), blocks=blocks):
+    if not add_membership(listed_a, AddCategory(gp_list), blocks=ctx.blocks):
         raise HypothesesNotSatisfied(
             "the projective indecomposables are not all represented in the list")
-    if theorem2 is not None:
-        ctx, gldim_b = theorem2.ctx, theorem2.gldim_b
-    else:
-        ctx = endomorphism_algebra(sum_module(gp_list), summands=gp_list)
-        gldim_b = gl_dim(ctx.b, bound)
+    gldim_b = theorem2.gldim_b if theorem2 is not None else gl_dim(ctx.b, bound)
     return RelativeAuslanderReport(ctx=ctx, gorenstein_dimension=rep.dimension,
                                    gldim_b=gldim_b, gp_certified=gp_certified)
 

@@ -204,7 +204,8 @@ def is_invertible(m, p: int) -> bool:
 
 
 def mat_pow(m: np.ndarray, e: int, p: int) -> np.ndarray:
-    out = identity(m.shape[0])
+    """m^e mod p for a square matrix m, or for each matrix of a stack m when e >= 1."""
+    out = identity(m.shape[-1])
     base = m % p
     while e:
         if e & 1:

@@ -262,11 +262,7 @@ def is_isomorphic(x: Module, y: Module, seed: int = 0):
         return False
     if x.dim == 0:
         return True
-    return _holds_isomorphism(HomSpace(x, y), seed)
-
-
-def _holds_isomorphism(space: HomSpace, seed: int = 0):
-    """is_isomorphic(x, y) read from space = HomSpace(x, y), dim x = dim y > 0."""
+    space = HomSpace(x, y)
     if not space:
         return False
     p = space.p

@@ -35,7 +35,7 @@ from homres.cli import main
 from homres.endo import endomorphism_algebra
 from homres.errors import InternalError, InvalidInput
 from homres.modules import (
-    HomSpace, ModuleMap, hom_basis, identity_map, same_module, sum_module,
+    HomSpace, Module, ModuleMap, hom_basis, identity_map, same_module, sum_module,
 )
 
 from test_approx import _lifting_holds, _lifts
@@ -207,6 +207,28 @@ def test_every_piece_is_witnessed():
                 start += m.dim
                 zeroed = ModuleMap(ap.map.source, x, matrix)
                 assert not _lifts_witnessed(zeroed, ap.pieces, ap.piece_homs)
+
+
+def test_a_corrupted_source_action_is_not_witnessed():
+    # the slice checks refuse exactly what validating each inclusion ι_k as
+    # a ModuleMap refused: one wrong entry of M_0's action, on or off the
+    # diagonal blocks
+    mods = _bundled("kx3", 3, 0)
+    x = sum_module(mods)
+    ap = right_approximation(x, AddCategory(mods))
+    source, offs = ap.map.source, np.cumsum([0] + [m.dim for m in ap.pieces])
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        b, r, c = (int(rng.integers(n)) for n in source.action.shape)
+        corrupt = Module(source.algebra, source.dim, source.action.copy())
+        corrupt.action[b, r, c] = (corrupt.action[b, r, c] + 1) % 3
+        k = int(np.searchsorted(offs, c, side="right")) - 1
+        inclusion = linalg.identity(corrupt.dim)[:, offs[k]:offs[k + 1]]
+        with pytest.raises(InvalidInput, match="does not intertwine"):
+            ModuleMap(ap.pieces[k], corrupt, inclusion)
+        f = ModuleMap.__new__(ModuleMap)  # f unvalidated on the corrupted source
+        f.source, f.target, f.matrix = corrupt, x, ap.map.matrix
+        assert not _lifts_witnessed(f, ap.pieces, ap.piece_homs)
 
 
 # -- what is left to solve -------------------------------------------------------

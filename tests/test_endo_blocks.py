@@ -1,7 +1,8 @@
 """B = (End ⊕ M_i)^op from its summand blocks, and gl.dim over the vertex tops.
 
 endomorphism_algebra assembles End(M) and rad B from the blocks
-Hom(M_i, M_j); the construction that solved Hom(M, M) as one system is kept
+Hom(M_i, M_j); the construction that solved Hom(M, M) as one system, and
+found the singular maps between isomorphic summands by enumeration, is kept
 here as an oracle, and B must agree with it bit for bit.  gl_dim takes the
 simples of an algebra with idempotents as the tops of its vertex
 projectives; the gl_dim that split A/rad A by Fitting searches is the oracle
@@ -10,6 +11,7 @@ for its values and exceptions.
 
 import json
 import sys
+import time
 from collections import Counter
 
 import numpy as np
@@ -17,15 +19,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homres import endo, linalg, modules
+from homres.approx import AddCategory
 from homres.algebra import (
     Algebra, QuiverPresentation, _ideal_closure_step, from_quiver, from_table, opposite,
+    quotient_algebra,
 )
-from homres.endo import _singular_hom_subspace, endomorphism_algebra
+from homres.endo import _local_radical, endomorphism_algebra, verify_theorem2
 from homres.errors import InvalidInput, SearchExhausted
 from homres.harness import verification_suite
 from homres.modules import (
-    HomSpace, Module, direct_sum, is_isomorphic, regular_module,
-    same_module, simple_modules, sum_module, validate_module,
+    EXHAUSTIVE_CAP, HomSpace, Module, _nonzero_vectors, direct_sum, dual_module,
+    is_isomorphic, regular_module, same_module, simple_modules, sum_module,
+    validate_module,
 )
 from homres.resolutions import EXCEEDS_BOUND, gl_dim, proj_dim
 from homres.workspace import bundled_workspace_path, parse_workspace
@@ -36,6 +41,26 @@ PRIMES = (2, 3, 5, 7)
 
 
 # -- oracles: the one-system construction of B and the Fitting-split gl_dim ----
+
+
+def _singular_hom_subspace(space: HomSpace) -> np.ndarray:
+    """Rows (in Hom-basis coordinates) spanning the non-isomorphisms in
+    space = Hom(x, y).
+
+    Valid when x and y are indecomposable (local endomorphism rings), where
+    the non-isomorphisms form a subspace; found by exhaustive enumeration.
+    """
+    h, dy, dx = space.stacked.shape
+    if h == 0 or dy != dx:
+        return linalg.identity(h)  # nothing invertible: the whole space
+    p = space.p
+    if p ** h > EXHAUSTIVE_CAP:
+        raise SearchExhausted(
+            "radical block needs exhaustive enumeration beyond the cap")
+    singular = [c for c in _nonzero_vectors(h, p)
+                if not linalg.is_invertible(space.combine(c), p)]
+    rows, piv = linalg.rref(np.array(singular, dtype=np.int64).reshape(-1, h), p)
+    return rows[:len(piv)]
 
 
 def _radical_from_summands_oracle(m_sum, end: HomSpace) -> np.ndarray:
@@ -125,6 +150,35 @@ def linear(m, p):
         idx = [v, m + v]  # e_v and the arrow leaving v span A e_v
         mods.append(validate_module(Module(a, 2, reg.action[:, idx][:, :, idx])))
     return a, mods
+
+
+def skew_dual_numbers(p):
+    """F[y; σ]/(y^2) for F = GF(p^2) and σ its Frobenius, on 1, a, y, ay.
+
+    y·u = σ(u)·y, so End(A) = A^op is local and noncommutative, with
+    residue field GF(p^2) and radical (y).
+    """
+    if p == 2:
+        c0, c1, sigma_a = 1, 1, (1, 1)  # a^2 = a + 1, σ(a) = a + 1
+    else:  # a^2 = c0, a non-square, and σ(a) = -a
+        c0 = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+        c1, sigma_a = 0, (0, p - 1)
+
+    def field_mul(x, y):
+        return ((x[0] * y[0] + x[1] * y[1] * c0) % p,
+                (x[0] * y[1] + x[1] * y[0] + x[1] * y[1] * c1) % p)
+
+    def sigma(x):
+        return (x[0] + x[1] * sigma_a[0]) % p, x[1] * sigma_a[1] % p
+
+    structure = []
+    for i, j in np.ndindex(4, 4):
+        (u, v), (u2, v2) = (np.eye(4, dtype=int)[k].reshape(2, 2) for k in (i, j))
+        # (u + v y)(u' + v' y) = u u' + (u v' + v σ(u')) y
+        w, z = field_mul(u, v2), field_mul(v, sigma(u2))
+        prod = field_mul(u, u2) + ((w[0] + z[0]) % p, (w[1] + z[1]) % p)
+        structure += [(i, j, k, c) for k, c in enumerate(prod) if c]
+    return from_table(p, 4, structure, [1, 0, 0, 0], radical=[[0, 0, 1, 0], [0, 0, 0, 1]])
 
 
 def change_basis(x, rng):
@@ -228,19 +282,116 @@ def test_errors_match_the_oracle():
     a = dual_numbers(2)
     reg, k = regular_module(a), simple_modules(a)[0]
     m = sum_module([reg, k])
-    _same_error(m, [m], InvalidInput, "radical rows do not span a nilpotent ideal")
     _same_error(m, [k, reg], InvalidInput, "do not sum to the module on the nose")
     _same_error(m, [reg], InvalidInput, "do not sum to the module on the nose")
-    k5 = sum_module([k] * 5)  # a 25-dimensional End ring at p = 2
-    _same_error(k5, [k5], SearchExhausted, "beyond the cap")
+    # a decomposable declared summand: the oracle's enumeration puts its
+    # idempotents into the radical, which fails the nilpotency check, or
+    # exceeds the cap (k^5: a 25-dimensional End ring at p = 2); B refuses
+    # both as not local
+    k5 = sum_module([k] * 5)
+    for x, oracle in ((m, InvalidInput), (k5, SearchExhausted)):
+        with pytest.raises(InvalidInput, match="End ring is not local"):
+            endomorphism_algebra(x, summands=[x])
+        assert _outcome(endomorphism_algebra_oracle, x, [x]) is oracle
 
 
-def test_k18_as_one_summand_is_beyond_the_cap():
-    # the oracle would build a 324 x 324 stack of 18 x 18 products first
+def test_k18_as_one_summand_is_refused_as_not_local():
+    # M_18(GF(2)) has basis idempotents of rank 1: refused before any of its
+    # commutators, or the 324 x 324 stack of products of B's table, exists
     k = simple_modules(dual_numbers(2))[0]
     k18 = sum_module([k] * 18)
-    with pytest.raises(SearchExhausted, match="beyond the cap"):
+    start = time.perf_counter()
+    with pytest.raises(InvalidInput, match="End ring is not local"):
         endomorphism_algebra(k18, summands=[k18])
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("p, seed", [(3, 1), (5, 0), (7, 0)])
+def test_a_product_of_fields_is_refused_by_its_frobenius(p, seed):
+    # S_1 ⊕ S_2 over GF(p) × GF(p), in a basis where End's basis elements
+    # are all units: the rank test passes and J = 0, but E/J = GF(p)^2 has a
+    # 2-dimensional Frobenius fixed space
+    kk = from_table(p, 2, [(0, 0, 0, 1), (1, 1, 1, 1)], [1, 1], radical=[])
+    s1, s2 = (validate_module(Module(kk, 1, act)) for act in ([[[1]], [[0]]], [[[0]], [[1]]]))
+    x = change_basis(sum_module([s1, s2]), np.random.default_rng(seed))
+    assert all(linalg.is_invertible(f, p) for f in HomSpace(x, x).stacked)
+    with pytest.raises(InvalidInput, match="End ring is not local"):
+        endomorphism_algebra(x, summands=[x])
+
+
+def _unchecked_radical(space):
+    """The kernel _local_radical returns, without its refusals."""
+    p, d, q = space.p, space.stacked.shape[1], 1
+    while q < d:
+        q *= p
+    powers = [linalg.mat_pow(f, q, p) for f in space.stacked]
+    commutators = [f @ g - g @ f for f in space.stacked for g in space.stacked]
+    mod_c = linalg.quotient_basis(space.coords(commutators), p)[0]
+    return linalg.kernel_basis(mod_c @ space.coords(powers).T % p, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_a_matrix_ring_is_refused_as_no_left_ideal(monkeypatch, p):
+    # k ⊕ k as one summand: E = M_2(GF(p)), whose kernel J is sl_2, with
+    # E/J = GF(p); the diagonal block's kernel, the largest left ideal in J,
+    # is 0, and that alone refuses it
+    k = simple_modules(dual_numbers(p))[0]
+    k2 = sum_module([k, k])
+    assert len(_unchecked_radical(HomSpace(k2, k2))) == 3
+    monkeypatch.setattr(endo, "_local_radical", _unchecked_radical)
+    with pytest.raises(InvalidInput, match="End ring is not local"):
+        endomorphism_algebra(k2, summands=[k2])
+
+
+def _row_space(rows, p):
+    red, piv = linalg.rref(rows, p)
+    return red[:len(piv)]
+
+
+def _local_inputs(p):
+    """Indecomposables with local End rings: commutative (uniserial,
+    rad^2-zero A_3), noncommutative with residue field GF(p^2) (the skew dual
+    numbers), and GF(p^2) itself."""
+    skew = skew_dual_numbers(p)
+    field = quotient_algebra(skew, skew.radical)[0]
+    return (uniserial(4, p)[1] + linear(3, p)[1]
+            + [regular_module(skew), dual_module(regular_module(skew)), regular_module(field)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(PRIMES), pick=st.integers(0, 10 ** 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_local_radical_matches_the_enumeration(p, pick, seed):
+    mods = _local_inputs(p)
+    x = change_basis(mods[pick % len(mods)], np.random.default_rng(seed))
+    space = HomSpace(x, x)
+    assert np.array_equal(_row_space(_local_radical(space), p), _singular_hom_subspace(space))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_skew_dual_numbers_b_matches_the_oracle(p):
+    # End(A) = A^op is noncommutative: without the commutators C, the map
+    # c |-> sum c_k b_k^q is not linear, and its kernel misses J on most of
+    # these conjugates
+    reg = regular_module(skew_dual_numbers(p))
+    for seed in range(5):
+        x = change_basis(reg, np.random.default_rng(seed))
+        space = HomSpace(x, x)
+        assert np.array_equal(_row_space(_local_radical(space), p),
+                              _singular_hom_subspace(space))
+        ctx = _check_b([x, simple_modules(reg.algebra)[0]])
+        assert ctx.b.dim == 4 + 2 + 2 + 2  # End(A), Hom(A, S), Hom(S, A), End(S)
+
+
+@pytest.mark.parametrize("p", [65537, 1048573])
+def test_theorem2_families_at_large_primes(p):
+    # the enumeration oracle refused these: p^h is far beyond its cap
+    a, mods = uniserial(4, p)
+    rep = verify_theorem2(a, regular_module(a), AddCategory(mods), 2)
+    assert (rep.injdim_t, rep.gldim_b, rep.verdict, rep.b_dim) == (0, 2, True, 30)
+    a, mods = linear(4, p)
+    rep = verify_theorem2(a, dual_module(regular_module(opposite(a))), AddCategory(mods), 2)
+    assert (rep.injdim_t, rep.gldim_b, rep.verdict, rep.b_dim) == (0, 2, True, 15)
 
 
 def _quiver_and_table_algebras():

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from homres import linalg, modules
 from homres.algebra import QuiverPresentation, from_quiver, opposite
+from homres.approx import AddCategory
+from homres.endo import verify_theorem2
 from homres.errors import HypothesesNotSatisfied
 from homres.gorenstein import (
     cotilting_check,
@@ -10,12 +13,14 @@ from homres.gorenstein import (
     relative_auslander,
 )
 from homres.modules import (
-    direct_sum, dual_module, is_isomorphic, regular_module, simple_modules,
+    _submodule_on_rows, direct_sum, dual_module, is_isomorphic, regular_module,
+    simple_modules,
 )
 from homres.resolutions import EXCEEDS_BOUND, is_projective
 
 from test_algebra import dual_numbers, truncated_cubic, two_vertex_line
 from test_endo import kx3_truncations
+from test_modules import _random_conjugate
 
 
 def test_is_gorenstein_self_injective():
@@ -93,6 +98,51 @@ def test_relative_auslander_witness_checks():
     k = simple_modules(dn)[0]
     with pytest.raises(HypothesesNotSatisfied):
         relative_auslander(dn, [k], 10)  # projectives missing
+
+
+def _rad2_zero_a3_projectives(p):
+    """P_2, P_1, P_0 of rad^2-zero A_3 (arrows 0 -> 1 -> 2), in that order."""
+    a = from_quiver(QuiverPresentation(vertices=3, arrows=[(0, 1), (1, 2)],
+                                       relations=[(0, 1)]), p)
+    reg = regular_module(a)
+    # A e_v: e_v and the arrow leaving v; A e_2 = k e_2
+    return a, [_submodule_on_rows(reg, linalg.identity(a.dim)[idx])
+               for idx in ([2], [1, 4], [0, 3])]
+
+
+@pytest.mark.parametrize("p", [2, 65537, 1048573])
+def test_relative_auslander_decides_non_isomorphism_from_rad_b(p):
+    # Hom(P_1, P_0) is one singular map: at p > 2^16 no search could tell
+    # that it holds no isomorphism, rad B can
+    a, gp_list = _rad2_zero_a3_projectives(p)
+    rep = relative_auslander(a, gp_list, 10)
+    assert (rep.gldim_b, rep.ctx.b.dim) == (2, 5)
+
+
+@pytest.mark.parametrize("p", [2, 65537])
+def test_relative_auslander_refuses_a_change_of_basis_copy(p):
+    a, gp_list = _rad2_zero_a3_projectives(p)
+    copy = _random_conjugate(gp_list[2], np.random.default_rng(0))
+    with pytest.raises(HypothesesNotSatisfied,
+                       match="entries 2 and 3 are not certified pairwise non-isomorphic"):
+        relative_auslander(a, gp_list + [copy], 10)
+
+
+def test_relative_auslander_solves_no_hom_between_entries(monkeypatch):
+    # with B passed in, the non-isomorphism check reads rad B alone
+    a, gp_list = _rad2_zero_a3_projectives(65537)
+    t2 = verify_theorem2(a, regular_module(a), AddCategory(gp_list), 2, bound=10)
+    solved = []
+    real = modules.hom_basis
+
+    def spy(x, y):
+        solved.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(modules, "hom_basis", spy)
+    rep = relative_auslander(a, gp_list, 10, theorem2=t2)
+    assert rep.gldim_b == 2
+    assert not [(x, y) for x, y in solved if x in gp_list and y in gp_list]
 
 
 def test_cotilting_injective_cogenerator():

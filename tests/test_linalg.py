@@ -84,6 +84,10 @@ def test_mat_pow():
     m = np.array([[1, 1], [0, 1]], dtype=np.int64)
     assert linalg.mat_pow(m, 5, 3)[0, 1] == 5 % 3
     assert linalg.mat_pow(m, 0, 3).tolist() == [[1, 0], [0, 1]]
+    stack = np.random.default_rng(0).integers(0, 7, size=(5, 3, 3))
+    for e in (1, 2, 7, 49):
+        assert np.array_equal(linalg.mat_pow(stack, e, 7),
+                              [linalg.mat_pow(x, e, 7) for x in stack])
 
 
 def test_determinism_bit_identical():

@@ -167,7 +167,7 @@ def test_decomposable_declared_summand_is_refused():
     a = dual_numbers(2)
     reg, k = regular_module(a), simple_modules(a)[0]
     kk = sum_module([k, k])
-    with pytest.raises(InvalidInput, match="nilpotent"):
+    with pytest.raises(InvalidInput, match="End ring is not local"):
         endomorphism_algebra(sum_module([reg, kk]), summands=[reg, kk])
 
 
