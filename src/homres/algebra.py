@@ -31,7 +31,6 @@ class Algebra:
     mult: np.ndarray                 # (dim, dim, dim)
     unit: np.ndarray                 # (dim,)
     radical: Optional[np.ndarray] = None          # rows spanning rad A
-    simple_actions: Optional[list] = None          # list of [action matrix per basis elt]
     labels: Optional[List[str]] = None
     # the supplied radical is not yet shown to be all of rad A; radical_basis
     # proves it (A/radical semisimple) on first use
@@ -40,7 +39,7 @@ class Algebra:
     idempotents: Optional[np.ndarray] = None
     _left: Optional[np.ndarray] = field(default=None, repr=False)
     _right: Optional[np.ndarray] = field(default=None, repr=False)
-    # the projectives A*e_v, one per idempotent, built by resolutions
+    # the projectives A*e_v, one per idempotent, built on first use
     _projectives: Optional[list] = field(default=None, repr=False)
     # opposite(self), built on first use
     _opposite: Optional["Algebra"] = field(default=None, repr=False)
@@ -276,18 +275,13 @@ def from_quiver(q: QuiverPresentation, p: int) -> Algebra:
     unit = np.zeros(dim, dtype=np.int64)
     unit[:q.vertices] = 1
     radical = linalg.identity(dim)[q.vertices:, :]
-    simple_actions = []
-    for v in range(q.vertices):
-        acts = [np.array([[1 if (i == v) else 0]], dtype=np.int64) for i in range(dim)]
-        simple_actions.append(acts)
     labels = []
     for src, seq in paths:
         if not seq:
             labels.append(f"e{src}")
         else:
             labels.append("*".join(f"a{ai}" for ai in reversed(seq)))
-    a = Algebra(p=p, dim=dim, mult=mult, unit=unit, radical=radical,
-                simple_actions=simple_actions, labels=labels,
+    a = Algebra(p=p, dim=dim, mult=mult, unit=unit, radical=radical, labels=labels,
                 idempotents=linalg.identity(dim)[:q.vertices])
     return validate_algebra(a)
 
@@ -299,20 +293,14 @@ def opposite(a: Algebra) -> Algebra:
     """Opposite algebra: structure constants transposed in (i, j).
 
     The radical subspace and the primitive idempotents are the same and are
-    carried over; 1-dimensional simple actions (scalars commute) are carried
-    over as well.  Built once and cached on a, so its projectives and its
+    carried over.  Built once and cached on a, so its projectives and its
     radical certificate are too.
     """
     if a._opposite is None:
-        simple_actions = None
-        if a.simple_actions is not None and all(s[0].shape == (1, 1)
-                                                for s in a.simple_actions):
-            simple_actions = a.simple_actions
         a._opposite = Algebra(
             p=a.p, dim=a.dim, mult=np.transpose(a.mult, (1, 0, 2)).copy(),
             unit=a.unit.copy(), radical=None if a.radical is None else a.radical.copy(),
-            simple_actions=simple_actions, labels=a.labels,
-            radical_unproven=a.radical_unproven,
+            labels=a.labels, radical_unproven=a.radical_unproven,
             idempotents=None if a.idempotents is None else a.idempotents.copy())
     return a._opposite
 
@@ -389,8 +377,10 @@ def radical_basis(a: Algebra) -> np.ndarray:
     form, which is only valid for p > dim - smaller characteristics raise
     UnsupportedField rather than risking a wrong answer.  A supplied basis
     marked radical_unproven is first certified by splitting A/radical into
-    simple modules: InvalidInput if that proves A/radical not semisimple,
-    SearchExhausted if the split cannot be decided.
+    simple modules: InvalidInput if that proves A/radical not semisimple.
+    Simplicity is decided at every prime, so the split stays undecided
+    (SearchExhausted) only on a piece that is not simple, when p^dim End of
+    it exceeds 2^16 and no sampled endomorphism splits it.
     """
     if a.radical is not None:
         if a.radical_unproven:

@@ -20,7 +20,9 @@ from . import linalg
 from .algebra import Algebra, same_algebra, validate_algebra
 from .approx import AddCategory, add_membership, perp_membership
 from .errors import HypothesesNotSatisfied, InvalidInput
-from .modules import HomSpace, Module, ModuleMap, _sum_hom_space, same_module, sum_module
+from .modules import (
+    HomSpace, Module, ModuleMap, _local_radical, _sum_hom_space, same_module, sum_module,
+)
 from .resolutions import EXCEEDS_BOUND, gl_dim, inj_dim
 
 
@@ -32,48 +34,6 @@ class EndoContext:
     summands: Optional[List[Module]] = None
     # blocks[i][j] = Hom(summands[i], summands[j]), the spaces B was built from
     blocks: Optional[List[List[HomSpace]]] = None
-
-
-def _local_radical(space: HomSpace) -> np.ndarray:
-    """Rows (in Hom-basis coordinates) spanning J(E) for E = space = End(x),
-    x indecomposable.
-
-    The span C of the commutators [b_a, b_b] is mapped into itself by
-    f |-> f^p, which is additive modulo C (Jacobson's formula).  So for
-    q = p^k the map f |-> f^q mod C is linear, and J is its kernel for the
-    least q >= dim x: on J, f^q = 0; off J, f^q is a unit, while C lies in
-    J because E/J is a field.
-
-    InvalidInput unless E is local, as far as E alone shows it: a basis
-    element neither nilpotent nor invertible, or an E/J whose Frobenius
-    fixes more than GF(p) (a product of fields).  _radical_from_blocks
-    completes the certificate by checking that J is a left ideal of E.
-    """
-    h, d, _ = space.stacked.shape
-    p = space.p
-    if h == 1:  # E = GF(p)·1
-        return linalg.zeros(0, 1)
-    q = 1
-    while q < d:
-        q *= p
-    powers = linalg.mat_pow(space.stacked, q, p)
-    if any(f.any() and linalg.rank(f, p) < d for f in powers):
-        raise _not_local()
-    a, b = np.triu_indices(h, 1)
-    commutators = (linalg.mat_mul(space.stacked[a], space.stacked[b], p)
-                   - linalg.mat_mul(space.stacked[b], space.stacked[a], p))
-    coords = space.coords(np.concatenate([powers, commutators]))
-    mod_c = linalg.quotient_basis(coords[h:], p)[0]
-    radical = linalg.kernel_basis(linalg.mat_mul(mod_c, coords[:h].T, p), p)
-    if h - len(radical) > 1:
-        # C ⊆ J makes E/J commutative, and J a left ideal makes it semisimple:
-        # a product of fields, one per line that its Frobenius fixes
-        mod_j, lift = linalg.quotient_basis(radical, p)
-        frob = space.coords(linalg.mat_pow(space.stacked[lift.any(axis=1)], p, p))
-        fixed = linalg.mat_mul(mod_j, frob.T, p) - linalg.identity(len(mod_j))
-        if len(linalg.kernel_basis(fixed, p)) != 1:
-            raise _not_local()
-    return radical
 
 
 def _not_local() -> InvalidInput:
@@ -150,6 +110,8 @@ def endomorphism_algebra(m: Module,
         end = _sum_hom_space(m, m, blocks)
         # refuses a summand that is not local before the table below is built
         radicals = [_local_radical(row[i]) for i, row in enumerate(blocks)]
+        if any(rad is None for rad in radicals):
+            raise _not_local()
         offs = np.cumsum([0] + [x.dim for x in summands])
         # ι_j∘π_j: the identity of block (j, j)
         ident = np.zeros((len(summands), m.dim, m.dim), dtype=np.int64)

@@ -376,20 +376,6 @@ def dual_module(x: Module) -> Module:
 # -- simple modules ---------------------------------------------------------------
 
 
-def _spin_is_simple(x: Module) -> bool:
-    """Exhaustive check: every nonzero vector generates the whole module."""
-    p, d = x.p, x.dim
-    if d == 0:
-        return False
-    if d == 1:
-        return True
-    if p ** d > EXHAUSTIVE_CAP:
-        raise SearchExhausted(f"simplicity check needs p^dim <= {EXHAUSTIVE_CAP}")
-    # the rows of x.action @ v are the b_i . v
-    return all(linalg.rank((x.action @ v) % p, p) == d
-               for v in _nonzero_vectors(d, p))
-
-
 def _submodule_on_rows(x: Module, rows: np.ndarray) -> Module:
     """The submodule of x on the span of independent rows, in that basis.
 
@@ -453,56 +439,151 @@ def _not_rad_a(a: Algebra) -> InvalidInput:
         "not rad A: A/radical has an indecomposable summand that is not simple")
 
 
-def simple_modules(a: Algebra) -> List[Module]:
-    """Complete irredundant list of simple left modules.
+def _local_radical(space: HomSpace) -> Optional[np.ndarray]:
+    """Rows (in Hom-basis coordinates) spanning J(E) for E = space = End(x)
+    when E is local; None when it shows that E is not.
 
-    Quiver algebras carry their vertex simples directly; otherwise the
-    semisimple quotient A/rad is split into simples by Fitting's lemma and
-    each factor's simplicity is verified exhaustively.  The split is what
-    certifies a supplied radical (radical_unproven): an indecomposable
-    factor that is not simple proves A/radical not semisimple, which is
-    InvalidInput.
+    The span C of the commutators [b_a, b_b] is mapped into itself by
+    f |-> f^p, which is additive modulo C (Jacobson's formula).  So for
+    q = p^k the map f |-> f^q mod C is linear, and J is its kernel for the
+    least q >= dim x: on J, f^q = 0; off J, f^q is a unit, while C lies in
+    J because E/J is a field.
+
+    None unless E is local, as far as E alone shows it: a basis element
+    neither nilpotent nor invertible, or an E/J whose Frobenius fixes more
+    than GF(p) (a product of fields).  The kernel contains C, so no rows
+    means E is commutative and reduced, and with the Frobenius check a
+    field.  Where rows remain, endo's _radical_from_blocks completes the
+    certificate by checking that J is a left ideal of E.
     """
-    if a.simple_actions is not None:
-        out = []
-        for acts in a.simple_actions:
-            d = acts[0].shape[0]
-            action = np.stack([np.asarray(m, dtype=np.int64) % a.p for m in acts])
-            out.append(validate_module(Module(a, d, action)))
-        return out
+    h, d, _ = space.stacked.shape
+    p = space.p
+    if h == 1:  # E = GF(p)·1
+        return linalg.zeros(0, 1)
+    q = 1
+    while q < d:
+        q *= p
+    powers = linalg.mat_pow(space.stacked, q, p)
+    if any(f.any() and linalg.rank(f, p) < d for f in powers):
+        return None
+    a, b = np.triu_indices(h, 1)
+    commutators = (linalg.mat_mul(space.stacked[a], space.stacked[b], p)
+                   - linalg.mat_mul(space.stacked[b], space.stacked[a], p))
+    coords = space.coords(np.concatenate([powers, commutators]))
+    mod_c = linalg.quotient_basis(coords[h:], p)[0]
+    radical = linalg.kernel_basis(linalg.mat_mul(mod_c, coords[:h].T, p), p)
+    if h - len(radical) > 1:
+        # C ⊆ J makes E/J commutative, and J a left ideal makes it semisimple:
+        # a product of fields, one per line that its Frobenius fixes
+        mod_j, lift = linalg.quotient_basis(radical, p)
+        frob = space.coords(linalg.mat_pow(space.stacked[lift.any(axis=1)], p, p))
+        fixed = linalg.mat_mul(mod_j, frob.T, p) - linalg.identity(len(mod_j))
+        if len(linalg.kernel_basis(fixed, p)) != 1:
+            return None
+    return radical
+
+
+def _is_simple(x: Module) -> bool:
+    """True iff x is simple, decided by linear algebra at every prime.
+
+    x is simple iff E = End(x) is a field F and A acts through all of
+    End_F(x) (Jacobson density; Auslander-Reiten-Smalø, ch. I).  A's image
+    always lies in End_F(x), of dimension d²/dim F, so it is all of it iff
+    rank(action) · dim E = d².
+    """
+    d = x.dim
+    if d <= 1:
+        return d == 1
+    space = HomSpace(x, x)
+    if linalg.rank(x.action.reshape(x.algebra.dim, d * d), x.p) * len(space) != d * d:
+        return False
+    radical = _local_radical(space)
+    return radical is not None and len(radical) == 0
+
+
+def _rad_span(x: Module, rad: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+    """Reduced rows spanning rad·x, and their pivot columns."""
+    (m, n), d = rad.shape, x.dim
+    acts = linalg.mat_mul(rad, x.action.reshape(n, d * d), x.p).reshape(m, d, d)
+    # one row per column of each r·x: their span is rad·x
+    red, piv = linalg.rref(acts.transpose(0, 2, 1).reshape(m * d, d), x.p)
+    return red[:len(piv)], piv
+
+
+def _vertex_projectives(a: Algebra) -> List[Tuple[np.ndarray, Module]]:
+    """(rows, P_v) for each idempotent e_v, cached on the algebra.
+
+    rows is a basis of A·e_v in A's coordinates and P_v the submodule of the
+    regular module on it.
+    """
+    if a._projectives is None:
+        n, reg = a.dim, regular_module(a)
+        right = a.mult.transpose(1, 0, 2).reshape(n, n * n)
+        a._projectives = []
+        for e in a.idempotents:
+            # row i is b_i·e_v, so the rows span A·e_v
+            red, piv = linalg.rref(linalg.mat_mul(e, right, a.p).reshape(n, n), a.p)
+            a._projectives.append((red[:len(piv)], _submodule_on_rows(reg, red[:len(piv)])))
+    return a._projectives
+
+
+def simple_modules(a: Algebra) -> List[Module]:
+    """Complete irredundant list of simple left modules, each certified by
+    _is_simple.
+
+    Over an algebra with primitive idempotents e_v and a proven radical R
+    they are the tops S_v = P_v/R·P_v of the vertex projectives, one per
+    isomorphism class: S_v ≅ S_w iff e_w·S_v ≠ 0, as Hom(P_w, S_v) =
+    e_w·S_v.  Simple tops and sum_v dim R·P_v = dim R (that is, R·A = R)
+    make A/R = ⊕ S_v semisimple, so rad A ⊆ R; R ⊆ rad A is the algebra's
+    own: a validated nilpotent ideal for B, the arrow ideal of a quiver
+    algebra.  Elsewhere A/R is split by Fitting's lemma until every piece
+    is simple, and a piece with a nonzero map to an earlier one is dropped
+    (Schur's lemma).  That split is what certifies a supplied radical
+    (radical_unproven).  Either way a top, or an indecomposable piece, that
+    is not simple proves R smaller than rad A, which is InvalidInput.
+    """
+    if a.idempotents is not None and not a.radical_unproven:
+        rad = radical_basis(a)
+        firsts, tops, spanned = [], [], 0
+        for v, (_, pv) in enumerate(_vertex_projectives(a)):
+            span, piv = _rad_span(pv, rad)
+            spanned += len(piv)
+            try:  # validates S_v: its projection intertwines iff R·P_v is a submodule
+                top = _quotient_on_rows(pv, span)[0]
+            except InvalidInput:
+                raise _not_rad_a(a) from None
+            if not _is_simple(top):
+                raise _not_rad_a(a)
+            # e_w·S_v for the first vertex w of every class kept so far
+            if not linalg.mat_mul(a.idempotents[firsts], top.action.reshape(a.dim, -1), a.p).any():
+                firsts.append(v)
+                tops.append(top)
+        if spanned != len(rad):
+            raise _not_rad_a(a)
+        return tops
     # an unproven radical is proven by the split below, not by radical_basis
     rad = a.radical if a.radical_unproven else radical_basis(a)
     q, proj, _ = quotient_algebra(a, rad)
-    reg = regular_module(q)
 
     def decompose(v: Module) -> List[Module]:
         if v.dim == 0:
             return []
-        split = _fitting_split(v)
-        if split is None:  # v is indecomposable
-            if not _spin_is_simple(v):
-                raise _not_rad_a(a)
+        if _is_simple(v):
             return [v]
-        left, right = split
-        return decompose(left) + decompose(right)
+        split = _fitting_split(v)
+        if split is None:  # v is indecomposable and not simple
+            raise _not_rad_a(a)
+        return decompose(split[0]) + decompose(split[1])
 
-    factors = decompose(reg)
+    factors: List[Module] = []
+    for f in decompose(regular_module(q)):
+        if not any(f.dim == g.dim and hom_basis(f, g) for g in factors):
+            factors.append(f)
     a.radical_unproven = False
     # pull back along A -> A/rad: b_i acts via its image in the quotient
-    pulled = []
+    out = []
     for f in factors:
         action = linalg.mat_mul(proj.T, f.action.reshape(q.dim, f.dim * f.dim), a.p)
-        pulled.append(validate_module(Module(a, f.dim, action.reshape(a.dim, f.dim, f.dim))))
-    out: List[Module] = []
-    for s in pulled:
-        dup = False
-        for t in out:
-            verdict = is_isomorphic(s, t)
-            if verdict is True:
-                dup = True
-                break
-            if verdict is UNDECIDED:
-                raise SearchExhausted("could not decide isomorphism between simple factors")
-        if not dup:
-            out.append(s)
+        out.append(validate_module(Module(a, f.dim, action.reshape(a.dim, f.dim, f.dim))))
     return out

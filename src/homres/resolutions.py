@@ -26,6 +26,12 @@ swaps injective A-modules and projective A^op-modules (Auslander-Reiten-
 Smalø, ch. II).  So inj_dim resolves one module over opposite(A), and gets
 the least r with Ext^{r+1}(S, t) = 0 for every simple S.
 
+gl.dim A is the largest proj_dim over modules.simple_modules(A), the one
+source of simple modules: over an algebra with idempotents it returns the
+tops of the vertex projectives, one per isomorphism class, each certified
+simple by linear algebra, so gl_dim runs no Fitting search and no
+enumeration there.
+
 All dimension functions are bounded searches: they return EXCEEDS_BOUND
 (serialized as "exceeds-bound") instead of looping forever.
 """
@@ -49,13 +55,10 @@ from .modules import (
     hom_basis,
     identity_map,
     map_kernel,
-    regular_module,
     simple_modules,
     sum_module,
-    _not_rad_a,
-    _quotient_on_rows,
-    _spin_is_simple,
-    _submodule_on_rows,
+    _rad_span,
+    _vertex_projectives,
 )
 
 EXCEEDS_BOUND = math.inf
@@ -63,15 +66,6 @@ EXCEEDS_BOUND = math.inf
 # the free covers of free_cover; projective_resolution also takes "minimal"
 COVER_STRATEGIES = ("evaluation", "doubled", "permuted")
 RESOLUTION_STRATEGIES = COVER_STRATEGIES + ("minimal",)
-
-
-def _rad_span(x: Module, rad: np.ndarray) -> Tuple[np.ndarray, List[int]]:
-    """Reduced rows spanning rad·x, and their pivot columns."""
-    (m, n), d = rad.shape, x.dim
-    acts = linalg.mat_mul(rad, x.action.reshape(n, d * d), x.p).reshape(m, d, d)
-    # one row per column of each r·x: their span is rad·x
-    red, piv = linalg.rref(acts.transpose(0, 2, 1).reshape(m * d, d), x.p)
-    return red[:len(piv)], piv
 
 
 def _nakayama_generators(x: Module, rad: np.ndarray) -> List[int]:
@@ -82,23 +76,6 @@ def _nakayama_generators(x: Module, rad: np.ndarray) -> List[int]:
     """
     pivots = set(_rad_span(x, rad)[1])
     return [j for j in range(x.dim) if j not in pivots]
-
-
-def _vertex_projectives(a: Algebra) -> List[Tuple[np.ndarray, Module]]:
-    """(rows, P_v) for each idempotent e_v, cached on the algebra.
-
-    rows is a basis of A·e_v in A's coordinates and P_v the submodule of the
-    regular module on it.
-    """
-    if a._projectives is None:
-        n, reg = a.dim, regular_module(a)
-        right = a.mult.transpose(1, 0, 2).reshape(n, n * n)
-        a._projectives = []
-        for e in a.idempotents:
-            # row i is b_i·e_v, so the rows span A·e_v
-            red, piv = linalg.rref(linalg.mat_mul(e, right, a.p).reshape(n, n), a.p)
-            a._projectives.append((red[:len(piv)], _submodule_on_rows(reg, red[:len(piv)])))
-    return a._projectives
 
 
 def _top_generators(x: Module) -> List[Tuple[int, np.ndarray]]:
@@ -408,46 +385,10 @@ def inj_dim(t: Module, bound: int):
     return 0 if t.dim == 0 else proj_dim(dual_module(t), bound)
 
 
-def _vertex_tops(a: Algebra) -> List[Module]:
-    """The tops S_v = P_v/rad·P_v of the vertex projectives, each certified
-    simple; InvalidInput, as from simple_modules, if one is not.
-
-    Every simple module is one of them, some maybe more than once.  For the
-    rows R of radical_basis, simple tops and sum_v dim R·P_v = dim R (that
-    is, R·A = R) make A/R = ⊕ S_v semisimple, so rad A ⊆ R.  R ⊆ rad A is
-    the algebra's own: a validated nilpotent ideal for B, the arrow ideal of
-    a quiver algebra.
-    """
-    rad = radical_basis(a)
-    tops, spanned = [], 0
-    for _, pv in _vertex_projectives(a):
-        span, piv = _rad_span(pv, rad)
-        spanned += len(piv)
-        try:  # validates S_v: its projection intertwines iff R·P_v is a submodule
-            top = _quotient_on_rows(pv, span)[0]
-        except InvalidInput:
-            raise _not_rad_a(a) from None
-        if not _spin_is_simple(top):
-            raise _not_rad_a(a)
-        tops.append(top)
-    if spanned != len(rad):
-        raise _not_rad_a(a)
-    return tops
-
-
 def gl_dim(a: Algebra, bound: int):
-    """Max of proj_dim over the simple modules; EXCEEDS_BOUND if any exceeds.
-
-    Over an algebra with primitive idempotents and a proven radical the
-    simples are the tops of its vertex projectives; elsewhere simple_modules
-    splits A/rad A into them.
-    """
-    if a.idempotents is None or a.radical_unproven:
-        simples = simple_modules(a)
-    else:
-        simples = _vertex_tops(a)
+    """Max of proj_dim over the simple modules; EXCEEDS_BOUND if any exceeds."""
     best = 0
-    for s in simples:
+    for s in simple_modules(a):
         d = proj_dim(s, bound)
         if d is EXCEEDS_BOUND or d == EXCEEDS_BOUND:
             return EXCEEDS_BOUND

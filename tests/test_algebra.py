@@ -169,10 +169,12 @@ def test_quotient_by_radical():
 
 
 def test_quiver_simple_actions():
+    from homres.modules import simple_modules
     a = two_vertex_line(3)
-    assert len(a.simple_actions) == 2
+    sims = simple_modules(a)
+    assert len(sims) == 2
     # simple at vertex 0: e0 acts as 1, e1 and the arrow act as 0
-    s0 = a.simple_actions[0]
+    s0 = sims[0].action
     assert s0[0].tolist() == [[1]]
     assert s0[1].tolist() == [[0]]
     assert s0[2].tolist() == [[0]]

@@ -617,3 +617,19 @@ def test_cli_malformed_input_exits_2_through_python_m(tmp_path, case):
                           env=dict(os.environ, PYTHONPATH=src))
     assert (proc.returncode, proc.stderr) == (2, "")
     assert json.loads(proc.stdout)["status"] == "invalid-input"
+
+
+@pytest.mark.parametrize("p", [257, 1048573])
+def test_cli_verify_thm2_with_a_two_dimensional_top_at_large_primes(tmp_path, capsys, p):
+    # B = (End A ⊕ k ⊕ k)^op is not basic: its simple for the k ⊕ k block is
+    # 2-dimensional, and it is certified by linear algebra at every prime
+    with open(KX2, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["p"] = p
+    doc["tasks"] = [{"cmd": "verify-thm2", "name": "thm2-kk", "algebra": "A", "t": "reg",
+                     "summands": ["reg", "k", "k"], "r": 2}]
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "verify-thm2", "--workspace", str(path))
+    assert code == 0
+    assert json.loads(out)["verdict"] is True

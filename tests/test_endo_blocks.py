@@ -1,12 +1,13 @@
-"""B = (End ⊕ M_i)^op from its summand blocks, and gl.dim over the vertex tops.
+"""B = (End ⊕ M_i)^op from its summand blocks, and gl.dim over its simples.
 
 endomorphism_algebra assembles End(M) and rad B from the blocks
 Hom(M_i, M_j); the construction that solved Hom(M, M) as one system, and
 found the singular maps between isomorphic summands by enumeration, is kept
-here as an oracle, and B must agree with it bit for bit.  gl_dim takes the
-simples of an algebra with idempotents as the tops of its vertex
-projectives; the gl_dim that split A/rad A by Fitting searches is the oracle
-for its values and exceptions.
+here as an oracle, and B must agree with it bit for bit.  simple_modules
+takes the simples of an algebra with idempotents as the tops of its vertex
+projectives; the gl_dim that splits A/rad A by Fitting searches, on a copy
+of the algebra without its idempotents, is the oracle for its values and
+exceptions.
 """
 
 import json
@@ -24,11 +25,11 @@ from homres.algebra import (
     Algebra, QuiverPresentation, _ideal_closure_step, from_quiver, from_table, opposite,
     quotient_algebra,
 )
-from homres.endo import _local_radical, endomorphism_algebra, verify_theorem2
+from homres.endo import endomorphism_algebra, verify_theorem2
 from homres.errors import InvalidInput, SearchExhausted
 from homres.harness import verification_suite
 from homres.modules import (
-    EXHAUSTIVE_CAP, HomSpace, Module, _nonzero_vectors, direct_sum, dual_module,
+    EXHAUSTIVE_CAP, HomSpace, Module, _local_radical, _nonzero_vectors, direct_sum, dual_module,
     is_isomorphic, regular_module, same_module, simple_modules, sum_module,
     validate_module,
 )
@@ -112,10 +113,17 @@ def endomorphism_algebra_oracle(m, summands=None):
 
 
 def gl_dim_oracle(a: Algebra, bound: int):
-    """Max of proj_dim over the simple modules; EXCEEDS_BOUND if any exceeds."""
+    """Max of proj_dim over the simple modules; EXCEEDS_BOUND if any exceeds.
+
+    The simples are split from A/R by Fitting's lemma over a copy of a
+    without its idempotents, so the vertex tops do not run, and then
+    resolved over a.
+    """
+    copy = Algebra(p=a.p, dim=a.dim, mult=a.mult, unit=a.unit, radical=a.radical,
+                   radical_unproven=a.radical_unproven)
     best = 0
-    for s in simple_modules(a):
-        d = proj_dim(s, bound)
+    for s in simple_modules(copy):
+        d = proj_dim(Module(a, s.dim, s.action), bound)
         if d is EXCEEDS_BOUND or d == EXCEEDS_BOUND:
             return EXCEEDS_BOUND
         best = max(best, d)
@@ -443,13 +451,18 @@ def test_gl_dim_refuses_a_nilpotent_ideal_short_of_the_radical():
 
 
 def test_gl_dim_takes_tops_not_simple_modules(monkeypatch):
-    def refuse(a):
-        raise AssertionError("simple_modules called")
+    # over an algebra with idempotents simple_modules reads the vertex tops:
+    # no Fitting search runs, also where B is not basic
+    def refuse(x):
+        raise AssertionError("_fitting_split called")
 
     b = _check_b(linear(3, 2)[1]).b
-    monkeypatch.setattr("homres.resolutions.simple_modules", refuse)
+    a = dual_numbers(2)
+    non_basic = _check_b([regular_module(a), simple_modules(a)[0], simple_modules(a)[0]]).b
+    monkeypatch.setattr(modules, "_fitting_split", refuse)
     assert gl_dim(b, 10) == 2 and gl_dim(opposite(b), 10) == 2
     assert gl_dim(linear(3, 2)[0], 10) == 2
+    assert gl_dim(non_basic, 10) == 2 and gl_dim(opposite(non_basic), 10) == 2
 
 
 def test_kx3_suite_solves_each_block_once_and_no_hom_m_m(monkeypatch):
