@@ -4,8 +4,9 @@ add(M) is presented by an explicit list of summands (the user's candidate
 indecomposables).  Approximations are full Hom-basis evaluations built from
 the small spaces Hom(M_j, x): the lifting property holds by construction and
 is re-verified on explicit lifts, the inclusion of each summand copy into the
-source.  Add-membership solves its section over the spaces Hom(x, M_j); no
-Hom space into the approximation source is ever solved.
+source.  Add-membership solves its section over the spaces Hom(x, M_j) by
+the one joint solve over Hom spaces, modules._solve_joint; no Hom space into
+the approximation source is ever solved.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .modules import (
     HomSpace,
     Module,
     ModuleMap,
+    _solve_joint,
     regular_module,
     sum_module,
 )
@@ -119,14 +121,6 @@ def _lifts_witnessed(f: ModuleMap, pieces: List[Module],
     return True
 
 
-def _factor_through(h: ModuleMap, f: ModuleMap) -> Optional[ModuleMap]:
-    """g with f ∘ g = h, or None; g is searched inside Hom(h.source, f.source)."""
-    space = HomSpace(h.source, f.source)
-    cols = ((f.matrix @ space.stacked) % f.p).reshape(len(space), h.matrix.size).T
-    sol = linalg.solve_linear(cols, h.matrix.reshape(-1), f.p)
-    return None if sol is None else ModuleMap(h.source, f.source, space.combine(sol))
-
-
 @dataclass
 class Membership:
     """add-membership verdict with a splitting witness when true."""
@@ -142,9 +136,10 @@ def add_membership(x: Module, c: AddCategory,
                    blocks: Optional[List[List[HomSpace]]] = None) -> Membership:
     """x ∈ add(M) iff the right approximation f onto x splits.
 
-    The section s is solved over the blocks: its coordinates in the spaces
-    Hom(x, M_j) of the pieces, in piece order (the basis order of
-    Hom(x, M_0)), with sum_k h_k ∘ s_k = id_x.  blocks: see _summand_homs.
+    The section s is solved over the blocks by _solve_joint: one unknown s_k
+    in Hom(x, M_j) for each piece k, a copy of M_j, in piece order (the
+    basis order of Hom(x, M_0)), with sum_k h_k ∘ s_k = id_x.  blocks: see
+    _summand_homs.
     """
     if x.dim == 0:
         return Membership(True)
@@ -153,16 +148,12 @@ def add_membership(x: Module, c: AddCategory,
     out = {id(m): space for m, space in
            zip(c.summands, _summand_homs(x, c, blocks, into=False))}
     spaces = [out[id(m)] for m in approx.pieces]
-    cells = x.dim * x.dim
-    cols = np.concatenate([linalg.zeros(0, cells)] + [
-        linalg.mat_mul(h.matrix, space.stacked, x.p).reshape(len(space), cells)
-        for h, space in zip(approx.piece_homs, spaces)])
-    sol = linalg.solve_linear(cols.T, linalg.identity(x.dim).reshape(-1), x.p)
+    sol = _solve_joint(dict(enumerate(spaces)),
+                       [([(k, h.matrix, None) for k, h in enumerate(approx.piece_homs)],
+                         linalg.identity(x.dim))], x.p)
     if sol is None:
         return Membership(False, approximation=approx)
-    offs = np.cumsum([0] + [len(space) for space in spaces])
-    matrix = np.concatenate([linalg.zeros(0, x.dim)] + [
-        space.combine(sol[offs[k]:offs[k + 1]]) for k, space in enumerate(spaces)])
+    matrix = np.concatenate([linalg.zeros(0, x.dim)] + list(sol.values()))
     section = ModuleMap(x, approx.map.source, matrix)
     return Membership(True, section=section, approximation=approx)
 

@@ -18,12 +18,13 @@ import numpy as np
 
 from . import linalg
 from .algebra import Algebra, same_algebra
-from .approx import AddCategory, addM_resolution, add_membership, _factor_through
+from .approx import AddCategory, addM_resolution, add_membership
 from .errors import HypothesesNotSatisfied, InternalError, InvalidInput
 from .modules import (
     HomSpace,
     Module,
     ModuleMap,
+    _solve_joint,
     identity_map,
     module_image,
     regular_module,
@@ -184,7 +185,7 @@ def is_c_acyclic(x: Complex, c: AddCategory, lo_check: Optional[int] = None) -> 
     first = 0 if lo_check is None else max(lo_check - x.lo, 0)
     for m in c.summands:
         spaces = [HomSpace(m, t) for t in x.terms]
-        deltas = [spaces[i + 1].coords(d.matrix @ spaces[i].stacked)
+        deltas = [spaces[i + 1].induced(spaces[i], left=d.matrix)
                   for i, d in enumerate(x.diffs)]
         if any(_cohomology([len(h) for h in spaces], deltas, x.algebra.p)[first:]):
             return False
@@ -211,9 +212,9 @@ def homotopy_hom_dim(x: Complex, y: Complex, n: int) -> int:
             # d_Y^{c+m} o f : X^c -> Y^{c+m+1} lands in the c block, and
             # -(-1)^m f o d_X^{c-1}: X^{c-1} -> Y^{c+m} in the c - 1 block
             if r == c:
-                return upper[r].coords(y.diff(c + m).matrix @ lower[c].stacked).T
+                return upper[r].induced(lower[c], left=y.diff(c + m).matrix)
             if r == c - 1:
-                return upper[r].coords(-sign * lower[c].stacked @ x.diff(r).matrix).T
+                return upper[r].induced(lower[c], right=-sign * x.diff(r).matrix)
             return linalg.zeros(len(upper[r]), len(lower[c]))
 
         return np.block([[block(r, c) for c in lower] for r in upper])
@@ -245,8 +246,9 @@ def c_resolution(x: Complex, c: AddCategory, depth: int) -> CResolution:
     Width induction: a stalk is resolved by iterated right approximations;
     wider complexes split off their lowest term as a cone (X = Cone(u) with
     u: X^j[-j-1] -> σ_{>j}X on the nose), resolve both pieces, lift the glue
-    map through the second resolution up to homotopy by one joint linear
-    solve, and return the cone of the lift.
+    map through the second resolution up to homotopy by one call of the
+    joint solve over Hom spaces, modules._solve_joint, and return the cone
+    of the lift.
     """
     if depth < 0:
         raise InvalidInput("resolution depth must be >= 0")
@@ -303,47 +305,13 @@ def _c_resolve_stalk(m: Module, degree: int, c: AddCategory, cut: int) -> CResol
     return CResolution(cx, phi, safe_lo, res.complete)
 
 
-def _solve_joint(unknowns: Dict[Tuple[str, int], HomSpace], equations, p: int):
-    """One linear solve for maps X_key, each unknown in its Hom space.
-
-    An equation (terms, rhs) reads sum of left @ X_key @ right == rhs over
-    its terms (key, left, right); a None factor is the identity.  Returns
-    {key: matrix} (free coordinates set to 0), or None if inconsistent.
-    """
-    offsets, pos = {}, 0
-    for key, space in unknowns.items():
-        offsets[key] = pos
-        pos += len(space)
-    nrows = sum(rhs.size for _, rhs in equations)
-    system = linalg.zeros(nrows, pos)
-    target = np.zeros(nrows, dtype=np.int64)
-    r = 0
-    for terms, rhs in equations:
-        for key, left, right in terms:
-            space = unknowns[key]
-            vals = space.stacked
-            if left is not None:
-                vals = (left @ vals) % p
-            if right is not None:
-                vals = (vals @ right) % p
-            cols = slice(offsets[key], offsets[key] + len(space))
-            system[r:r + rhs.size, cols] += vals.reshape(len(space), rhs.size).T
-        target[r:r + rhs.size] = rhs.reshape(-1)
-        r += rhs.size
-    sol = linalg.solve_linear(system % p, target, p)
-    if sol is None:
-        return None
-    return {key: space.combine(sol[offsets[key]:offsets[key] + len(space)])
-            for key, space in unknowns.items()}
-
-
 def _map_up_to_homotopy(src: Complex, tgt: Complex, h_src: Complex, h_tgt: Complex,
                         post: Optional[ChainMap], pre: Optional[ChainMap],
                         rhs: Callable[[int], np.ndarray]):
     """Chain map g: src -> tgt and homotopy h: h_src -> h_tgt[-1] with
     post g pre - d h - h d = rhs degreewise (a None factor is the identity).
 
-    One joint linear solve over the Hom-basis coordinates of all components;
+    One _solve_joint over the Hom-basis coordinates of all components;
     returns (ChainMap, Homotopy), or None if no such pair exists.
     """
     degrees = list(range(min(cx.lo for cx in (src, tgt, h_src, h_tgt)) - 1,
@@ -460,8 +428,11 @@ def acyclic_truncation_split(x: Complex, c: AddCategory) -> TruncationSplitRepor
     degrees, in_add, splits = [], [], []
     for n in range(x.lo, x.hi):
         d = x.diff(n)
-        im, incl, cor = module_image(d)
+        im, _, cor = module_image(d)
         degrees.append(n)
         in_add.append(bool(add_membership(im, c)))
-        splits.append(_factor_through(identity_map(im), cor) is not None)
+        # the epimorphism cor onto Im d^n splits iff cor ∘ s = id for some s
+        s = _solve_joint({"s": HomSpace(im, cor.source)},
+                         [([("s", cor.matrix, None)], linalg.identity(im.dim))], x.algebra.p)
+        splits.append(s is not None)
     return TruncationSplitReport(degrees, in_add, splits)

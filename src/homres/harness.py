@@ -31,7 +31,7 @@ from .resolutions import (
     EXCEEDS_BOUND, RESOLUTION_STRATEGIES, ext_dims, gl_dim, inj_dim, proj_dim,
     projective_resolution,
 )
-from .workspace import WorkspaceDocument, WorkspaceError, _field, _located, _typed
+from .workspace import WorkspaceDocument, WorkspaceError, _field, _int_array, _located, _typed
 
 DEFAULT_BOUND = 12
 
@@ -114,7 +114,7 @@ class _Args:
             with _located(spec.at(f"components/{deg}"), TypeError, ValueError):
                 i = int(deg)
                 comps[i] = ModuleMap(src.term(i), tgt.term(i),
-                                     np.asarray(mat, dtype=np.int64))
+                                     _int_array(mat, spec.at(f"components/{deg}")))
         return ChainMap(src, tgt, comps)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -212,6 +212,52 @@ class HomSpace:
         """Matrix of the map with the given coordinates."""
         coeffs = np.asarray(coeffs, dtype=np.int64).reshape(-1) % self.p
         return linalg.mat_mul(coeffs, self._rows, self.p).reshape(self.stacked.shape[1:])
+
+    def compose(self, left: Optional[np.ndarray] = None,
+                right: Optional[np.ndarray] = None) -> np.ndarray:
+        """left ∘ f ∘ right for each basis map f, in basis order (None: the
+        identity); a stack (n, 1, ·, ·) of right factors gives (n, len, ·, ·)."""
+        vals = self.stacked
+        if left is not None:
+            vals = linalg.mat_mul(left, vals, self.p)
+        if right is not None:
+            vals = linalg.mat_mul(vals, right, self.p)
+        return vals
+
+    def induced(self, source: "HomSpace", left: Optional[np.ndarray] = None,
+                right: Optional[np.ndarray] = None) -> np.ndarray:
+        """Matrix of f |-> left ∘ f ∘ right from source's coordinates to this
+        space's, one column per basis map of source (one matrix per factor of
+        a stack of right factors)."""
+        return self.coords(source.compose(left, right)).swapaxes(-1, -2)
+
+
+def _solve_joint(unknowns: Dict[Hashable, HomSpace], equations, p: int):
+    """One linear solve for maps X_key, each unknown in its Hom space.
+
+    An equation (terms, rhs) reads sum of left ∘ X_key ∘ right == rhs over
+    its terms (key, left, right); a None factor is the identity.  Returns
+    {key: matrix} (free coordinates set to 0), or None if inconsistent.
+    """
+    sizes = [len(space) for space in unknowns.values()]
+    offsets = dict(zip(unknowns, np.cumsum([0] + sizes).tolist()))
+    nrows = sum(rhs.size for _, rhs in equations)
+    system = linalg.zeros(nrows, sum(sizes))
+    target = np.zeros(nrows, dtype=np.int64)
+    r = 0
+    for terms, rhs in equations:
+        for key, left, right in terms:
+            space = unknowns[key]
+            cols = slice(offsets[key], offsets[key] + len(space))
+            system[r:r + rhs.size, cols] += space.compose(left, right).reshape(
+                len(space), rhs.size).T
+        target[r:r + rhs.size] = rhs.reshape(-1)
+        r += rhs.size
+    sol = linalg.solve_linear(system % p, target, p)
+    if sol is None:
+        return None
+    return {key: space.combine(sol[offsets[key]:offsets[key] + len(space)])
+            for key, space in unknowns.items()}
 
 
 def _sum_hom_space(x: Module, y: Module, blocks: List[List[HomSpace]]) -> HomSpace:

@@ -332,16 +332,6 @@ class ExtTable:
     bound: int
 
 
-def _hom_complex_delta(res: Resolution, y: Module, i: int,
-                       spaces: List[HomSpace]) -> np.ndarray:
-    """Matrix of delta^i : Hom(T_i, y) -> Hom(T_{i+1}, y), f |-> f o d_{i+1}.
-
-    spaces[j] is HomSpace(T_j, y).
-    """
-    return spaces[i + 1].coords(
-        linalg.mat_mul(spaces[i].stacked, res.maps[i + 1].matrix, y.p)).T
-
-
 def _cohomology(dims: List[int], deltas: List[np.ndarray], p: int) -> List[int]:
     """dim H^i = dims[i] - rank δ^i - rank δ^{i-1} for a complex of GF(p)-spaces.
 
@@ -359,7 +349,8 @@ def ext_dims(x: Module, y: Module, max_i: int) -> ExtTable:
         raise InvalidInput("max_i must be >= 0")
     res = projective_resolution(x, max_i + 1, strategy=_cover_strategy(x.algebra))
     spaces = [HomSpace(t, y) for t in res.terms]  # at most max_i + 2 terms
-    deltas = [_hom_complex_delta(res, y, i, spaces)
+    # δ^i = Hom(d_{i+1}, y): f |-> f ∘ d_{i+1}
+    deltas = [spaces[i + 1].induced(spaces[i], right=res.maps[i + 1].matrix)
               for i in range(min(max_i + 1, res.length))]
     hom_dims = [len(s) for s in spaces] + [0] * (max_i + 1)
     dims = _cohomology(hom_dims[:max_i + 1], deltas, y.p)

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import linalg
-from .algebra import Algebra, QuiverPresentation, from_quiver, from_table, opposite
+from .algebra import Algebra, QuiverPresentation, from_quiver, from_table, opposite, same_algebra
 from .complexes import Complex
 from .errors import HomresError, InvalidInput
 from .modules import (
@@ -182,7 +182,10 @@ def _build_module(name: str, spec: dict, ws: WorkspaceDocument) -> Module:
         if kind == "dual-regular":
             return dual_module(regular_module(opposite(a)))
         if kind == "sum":
-            parts = [ws.module(n, f"{ptr}/of") for n in spec["of"]]
+            parts = [ws.module(n, f"{ptr}/of/{j}") for j, n in enumerate(spec["of"])]
+            for j, x in enumerate(parts):
+                if not same_algebra(x.algebra, a):  # sum_module reads a only when empty
+                    raise WorkspaceError(f"{ptr}/of/{j}", "module lives over another algebra")
             return sum_module(parts, algebra=a)
         if kind == "table":
             action = _int_array(_field(spec, "action", ptr), f"{ptr}/action")

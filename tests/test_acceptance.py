@@ -37,7 +37,6 @@ from homres.modules import (
 )
 from homres.resolutions import (
     EXCEEDS_BOUND,
-    _hom_complex_delta,
     ext_dims,
     gl_dim,
     proj_dim,
@@ -150,7 +149,8 @@ def ext_dims_from_resolution(res, y, max_i):
     ranks = {}
     for i in range(max_i + 1):
         if i + 1 <= res.length:
-            ranks[i] = linalg.rank(_hom_complex_delta(res, y, i, homs), y.p)
+            delta = homs[i + 1].induced(homs[i], right=res.maps[i + 1].matrix)
+            ranks[i] = linalg.rank(delta, y.p)
         else:
             ranks[i] = 0
     return [len(homs.get(i, [])) - ranks[i] - ranks.get(i - 1, 0)

@@ -138,6 +138,12 @@ SOCLE_MAP = {"source": "socle-seq", "target": "socle-seq"}
     ({"cmd": "gldim", "algebra": "A", "bound": -1}, "/tasks/1/bound"),
     ({"cmd": "ext", "source": "k", "target": "k", "max_i": -1}, "/tasks/1/max_i"),
     ({"cmd": "addmem", "module": "k", "summands": ["reg", 5]}, "/tasks/1/summands/1"),
+] + [
+    # components are read as integers, neither coerced nor overflowing
+    ({"cmd": "retraction", "map": dict(SOCLE_MAP, components={"0": component}),
+      "summands": ["reg"]}, "/tasks/1/map/components/0")
+    for component in ([[1.5, 0], [0, 1]], [[True, False], [False, True]],
+                      [["1", 0], [0, 1]], [[1e30, 0], [0, 1]])
 ])
 def test_cli_ill_typed_task_field_names_its_pointer(tmp_path, capsys, task, pointer):
     with open(KX2, encoding="utf-8") as fh:
@@ -173,11 +179,16 @@ def test_cli_ill_typed_task_field_names_its_pointer(tmp_path, capsys, task, poin
     ("gldim", ["algebras", "T"], {"kind": "table", "dim": 2,
                                   "structure": [[0, 0, 0, 1], [1, 1, 1, 1]],
                                   "unit": [[1, 1]]}, "/algebras/T"),
+    # a sum declared over B of modules over A
+    ("addmem", ["modules", "m", "algebra"], "B", "/modules/m/of/0"),
 ])
 def test_cli_ill_typed_workspace_field_names_its_pointer(tmp_path, capsys, command,
                                                          path, value, pointer):
     with open(KX2, encoding="utf-8") as fh:
         doc = json.load(fh)
+    # a second algebra, which only the sum case above declares a module over
+    doc["algebras"]["B"] = {"kind": "quiver", "vertices": 2, "arrows": [[0, 1]],
+                            "relations": []}
     parent = doc
     for key in path[:-1]:
         parent = parent[key]

@@ -33,7 +33,6 @@ from homres.complexes import (
     Homotopy,
     _c_resolve_stalk,
     _lift_through,
-    _solve_joint,
     c_resolution,
     homotopy_hom_dim,
     homotopy_retraction,
@@ -43,7 +42,9 @@ from homres.complexes import (
     stalk,
 )
 from homres.errors import HypothesesNotSatisfied, InternalError, InvalidInput
-from homres.modules import HomSpace, Module, ModuleMap, direct_sum, zero_module
+from homres.modules import (
+    HomSpace, Module, ModuleMap, _solve_joint, direct_sum, zero_module,
+)
 from homres.resolutions import ext_dims, projective_resolution
 from homres.workspace import bundled_workspace_path, parse_workspace
 

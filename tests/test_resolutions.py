@@ -118,10 +118,9 @@ def test_ext_schanuel_independence():
         res = projective_resolution(k, 2, strategy=strat, seed=seed)
         validate_resolution(res)
         # recompute Ext^1 by hand from this resolution: corank of delta^0
-        from homres.resolutions import _hom_complex_delta
         homs = {i: HomSpace(res.terms[i], k) for i in range(min(3, res.length + 1))}
-        d0 = _hom_complex_delta(res, k, 0, homs)
-        d1 = _hom_complex_delta(res, k, 1, homs)
+        d0 = homs[1].induced(homs[0], right=res.maps[1].matrix)
+        d1 = homs[2].induced(homs[1], right=res.maps[2].matrix)
         ext1 = len(homs[1]) - linalg.rank(d1, 3) - linalg.rank(d0, 3)
         assert ext1 == base[1]
 
