@@ -11,6 +11,11 @@ nonzero paths sorted by (length, arrow sequence).
 Path composition convention: in a product q * q' the path q' is traversed
 first, so the left projective at vertex v is A*e_v = span of paths starting
 at v, and Hom(A e_i, A e_j) is identified with e_i A e_j.
+
+rad A is exact at every prime.  A quiver algebra's is its arrow ideal; any
+other algebra's comes from _radical_rows, one commutator quotient and two
+kernels (Cohen-Ivanyos-Wales, "Finding the radical of an algebra of linear
+transformations", JPAA 1997), which also checks a supplied radical at load.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .errors import InvalidInput, NotFiniteDimensional, UnsupportedField
+from .errors import InvalidInput, NotFiniteDimensional
 
 
 @dataclass(eq=False)
@@ -32,15 +37,14 @@ class Algebra:
     unit: np.ndarray                 # (dim,)
     radical: Optional[np.ndarray] = None          # rows spanning rad A
     labels: Optional[List[str]] = None
-    # the supplied radical is not yet shown to be all of rad A; radical_basis
-    # proves it (A/radical semisimple) on first use
-    radical_unproven: bool = False
     # rows: a complete set of orthogonal primitive idempotents e_v, when known
     idempotents: Optional[np.ndarray] = None
     _left: Optional[np.ndarray] = field(default=None, repr=False)
     _right: Optional[np.ndarray] = field(default=None, repr=False)
     # the projectives A*e_v, one per idempotent, built on first use
     _projectives: Optional[list] = field(default=None, repr=False)
+    # modules.simple_modules(self), built on first use
+    _simples: Optional[list] = field(default=None, repr=False)
     # opposite(self), built on first use
     _opposite: Optional["Algebra"] = field(default=None, repr=False)
 
@@ -162,10 +166,9 @@ def from_table(p: int, dim: int, structure: Sequence[Tuple[int, int, int, int]],
     """Build from a sparse (i, j, k, c) structure-constant list and validate.
 
     radical, when given, must span rad A itself, not just some nilpotent
-    ideal: is_projective relies on A/radical being semisimple.  For p > dim
-    validate_radical checks that here by the trace form; for p <= dim
-    radical_basis checks it on first use by splitting A/radical into simple
-    modules.  An empty list declares rad A = 0.
+    ideal: is_projective relies on A/radical being semisimple.  It is checked
+    here against _jacobson_radical, at every prime.  An empty list declares
+    rad A = 0.
     """
     if dim < 0:
         raise InvalidInput(f"algebra dimension {dim} is negative")
@@ -178,9 +181,13 @@ def from_table(p: int, dim: int, structure: Sequence[Tuple[int, int, int, int]],
             raise InvalidInput(f"structure entry ({i},{j},{k}) out of range for dim {dim}")
         # c is a GF(p) coefficient: reduce it before it meets int64
         mult[i, j, k] = (mult[i, j, k] + c % p) % p
-    a = Algebra(p=p, dim=dim, mult=mult, unit=np.asarray(unit), radical=radical,
-                labels=labels, radical_unproven=radical is not None and p <= dim)
-    return validate_algebra(a)
+    a = validate_algebra(Algebra(p=p, dim=dim, mult=mult, unit=np.asarray(unit),
+                                 radical=radical, labels=labels))
+    # a validated radical is a nilpotent ideal, so it lies in rad A: the same
+    # dimension makes it all of rad A
+    if radical is not None and len(a.radical) != len(_jacobson_radical(a)):
+        raise _not_rad_a(a)
+    return a
 
 
 # -- quivers ---------------------------------------------------------------------
@@ -294,14 +301,13 @@ def opposite(a: Algebra) -> Algebra:
 
     The radical subspace and the primitive idempotents are the same and are
     carried over.  Built once and cached on a, so its projectives and its
-    radical certificate are too.
+    simple modules are too.
     """
     if a._opposite is None:
         a._opposite = Algebra(
             p=a.p, dim=a.dim, mult=np.transpose(a.mult, (1, 0, 2)).copy(),
             unit=a.unit.copy(), radical=None if a.radical is None else a.radical.copy(),
-            labels=a.labels, radical_unproven=a.radical_unproven,
-            idempotents=None if a.idempotents is None else a.idempotents.copy())
+            labels=a.labels, idempotents=None if a.idempotents is None else a.idempotents.copy())
     return a._opposite
 
 
@@ -316,12 +322,7 @@ def _ideal_closure_step(a: Algebra, rows: np.ndarray, other: np.ndarray) -> np.n
 
 
 def validate_radical(a: Algebra, rows: np.ndarray) -> None:
-    """Check rows span a two-sided nilpotent ideal.
-
-    When p > dim, additionally checks the quotient's trace form is
-    nondegenerate (semisimplicity); otherwise radical_basis certifies the
-    quotient semisimple on first use of an algebra marked radical_unproven.
-    """
+    """Check rows span a two-sided nilpotent ideal, so lie in rad A."""
     p, n = a.p, a.dim
     rows = _row_basis(rows, p, n)
     if rows.shape[0]:
@@ -345,18 +346,50 @@ def validate_radical(a: Algebra, rows: np.ndarray) -> None:
             # fixed point can never reach zero
             raise InvalidInput("radical rows do not span a nilpotent ideal")
         power = nxt
-    qdim = a.dim - rows.shape[0]
-    if p > a.dim and qdim > 0:
-        q, _, _ = quotient_algebra(a, rows)
-        if _trace_form_kernel(q).shape[0] != 0:
-            raise InvalidInput("quotient by the supplied radical is not semisimple")
 
 
-def _trace_form_kernel(a: Algebra) -> np.ndarray:
-    left = a.left_mult_matrices()
-    tr = np.trace(left, axis1=1, axis2=2) % a.p  # tr(L_k)
-    gram = np.einsum("ijk,k->ij", a.mult, tr) % a.p
-    return linalg.kernel_basis(gram, a.p)
+def _not_rad_a(a: Algebra) -> InvalidInput:
+    """The error for a supplied radical smaller than rad A."""
+    return InvalidInput(
+        f"the radical supplied for a dim-{a.dim} algebra over GF({a.p}) is "
+        "not rad A: A/radical is not semisimple")
+
+
+def _radical_rows(mult: np.ndarray, powers: np.ndarray, p: int) -> np.ndarray:
+    """Rows spanning rad A for the algebra with table mult, given powers[i],
+    the coordinates of b_i^q, q a power of p at least A's nilpotency index.
+
+    x |-> x^q is linear modulo the span C of the commutators and maps C into
+    itself (Jacobson's formula), so K = {x : x^q in C} is a subspace; it
+    holds J = rad A (x^q = 0) and C.  Modulo J, K is the trace-zero part
+    of each matrix block of A/J, which holds no nonzero left ideal.  So J is
+    the largest left ideal in K, {x : b_i·x in K for every i}.
+    """
+    n = len(mult)
+    if n == 0:
+        return linalg.zeros(0, 0)
+    i, j = np.triu_indices(n, 1)
+    mod_c = linalg.quotient_basis((mult[i, j] - mult[j, i]) % p, p)[0]
+    # K is the kernel of frob, the coordinates of x^q modulo C
+    frob = linalg.mat_mul(mod_c, powers.T, p)
+    # (L_i)[k, j] = mult[i, j, k] acts on x as b_i·x
+    left = np.transpose(mult, (0, 2, 1))
+    return linalg.kernel_basis(linalg.mat_mul(frob, left, p).reshape(-1, n), p)
+
+
+def _p_power_at_least(p: int, n: int) -> int:
+    """The least power of p that is >= n: x^q = 0 for every nilpotent x
+    acting on a space of dimension n."""
+    q = 1
+    while q < n:
+        q *= p
+    return q
+
+
+def _jacobson_radical(a: Algebra) -> np.ndarray:
+    """rad A by _radical_rows on the regular representation."""
+    powers = linalg.mat_pow(a.left_mult_matrices(), _p_power_at_least(a.p, a.dim), a.p)
+    return _radical_rows(a.mult, linalg.mat_mul(powers, a.unit, a.p), a.p)
 
 
 def _row_basis(rows, p: int, cols: int) -> np.ndarray:
@@ -371,31 +404,11 @@ def _row_basis(rows, p: int, cols: int) -> np.ndarray:
 
 
 def radical_basis(a: Algebra) -> np.ndarray:
-    """Independent rows spanning rad A.
-
-    Uses the supplied/quiver-derived basis when present; otherwise the trace
-    form, which is only valid for p > dim - smaller characteristics raise
-    UnsupportedField rather than risking a wrong answer.  A supplied basis
-    marked radical_unproven is first certified by splitting A/radical into
-    simple modules: InvalidInput if that proves A/radical not semisimple.
-    Simplicity is decided at every prime, so the split stays undecided
-    (SearchExhausted) only on a piece that is not simple, when p^dim End of
-    it exceeds 2^16 and no sampled endomorphism splits it.
-    """
-    if a.radical is not None:
-        if a.radical_unproven:
-            # modules builds on this module, so the split is imported here;
-            # simple_modules clears the mark once the split succeeds
-            from .modules import simple_modules
-            simple_modules(a)
-        return a.radical
-    if a.p <= a.dim:
-        raise UnsupportedField(
-            f"radical of a dim-{a.dim} algebra over GF({a.p}) needs a supplied basis")
-    rows = _trace_form_kernel(a)
-    validate_radical(a, rows)
-    a.radical = rows
-    return rows
+    """Independent rows spanning rad A: the supplied or derived basis when
+    present, otherwise _jacobson_radical, computed once and cached."""
+    if a.radical is None:
+        a.radical = _jacobson_radical(a)
+    return a.radical
 
 
 def quotient_algebra(a: Algebra, ideal_rows: np.ndarray):

@@ -3,10 +3,8 @@
 B's basis is the rref-ordered hom basis of End(M); every B-side computation
 inherits that ordering, so runs are bit-reproducible.  When M is given as a
 direct sum of indecomposable summands, End(M) is assembled from the blocks
-Hom(M_i, M_j), each solved once, and so is the radical of B: J(End M_i) is
-the kernel of the p-power map modulo commutators, and a map M_i -> M_j is
-radical iff every map back composes with it into J(End M_i).  Both are
-kernels of linear maps, so rad B is exact at every supported prime.
+Hom(M_i, M_j), each solved once, and rad B is algebra._radical_rows on B's
+table, the one exact radical at every supported prime.
 """
 
 from __future__ import annotations
@@ -17,7 +15,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import linalg
-from .algebra import Algebra, same_algebra, validate_algebra
+from .algebra import (
+    Algebra, _p_power_at_least, _radical_rows, same_algebra, validate_algebra,
+)
 from .approx import AddCategory, add_membership, perp_membership
 from .errors import HypothesesNotSatisfied, InvalidInput
 from .modules import (
@@ -52,50 +52,17 @@ def _summand_blocks(maps: np.ndarray, dims: List[int]) -> Tuple[np.ndarray, np.n
             np.searchsorted(ends, rows, side="right"))
 
 
-def _radical_from_blocks(radicals: List[np.ndarray], dims: List[int], end: HomSpace,
-                         mult: np.ndarray) -> np.ndarray:
-    """Radical of End(⊕ M_i) in basis coordinates, for end assembled from
-    the blocks Hom(M_i, M_j), dim M_i = dims[i] and radicals[i] =
-    _local_radical(Hom(M_i, M_i)), from B's table mult[k, a] = coordinates
-    of f_a ∘ f_k.
-
-    With every End(M_i) local, f in Hom(M_i, M_j) is radical iff g∘f lies
-    in J(End M_i) for every g in Hom(M_j, M_i) (Auslander-Reiten-Smalø,
-    ch. V), whether or not M_i ≅ M_j.  So rad B is one kernel: the f whose
-    every f_a ∘ f has its diagonal blocks in ⊕ J(End M_i), read off mult,
-    whose block (i, i) coordinates are End(M_i)'s.  On block (i, i) the
-    kernel is the largest left ideal inside J(End M_i); it must be all of
-    it, or End(M_i) is not local (InvalidInput).
-    """
-    p, n = end.p, len(end)
-    source, target = _summand_blocks(end.stacked, dims)
-    diagonal = [np.flatnonzero((source == i) & (target == i)) for i in range(len(dims))]
-    # system[k, a, t]: coordinate t of the diagonal blocks of f_a ∘ f_k, each
-    # modulo its J(End M_i)
-    system = np.concatenate([
-        linalg.mat_mul(mult[:, :, rows], linalg.quotient_basis(rad, p)[0].T, p)
-        for rows, rad in zip(diagonal, radicals)], axis=2)
-    radical = linalg.kernel_basis(system.transpose(1, 2, 0).reshape(-1, n), p)
-    # each kernel row lies in one block; those on the diagonal span the left ideals
-    on_diagonal = radical[:, np.concatenate(diagonal)].any(axis=1)
-    if np.count_nonzero(on_diagonal) != sum(len(rad) for rad in radicals):
-        raise _not_local()
-    return radical
-
-
 def endomorphism_algebra(m: Module,
                          summands: Optional[List[Module]] = None) -> EndoContext:
     """(End_A m)^op as structure constants: b_i . b_j corresponds to f_j ∘ f_i.
 
     When the declared indecomposable summands of m are supplied (their direct
     sum must equal m on the nose), End(m) is assembled from the blocks
-    Hom(M_i, M_j), rad B is derived from them and validated as a nilpotent
-    ideal, and B carries the summand projections ι_j∘π_j as its idempotents.
-    The derivation assumes that every summand's End ring E is local, and
-    certifies it by linear algebra at every prime: the derived J(E) is a
-    left ideal and E/J(E) a field.  That makes the derived radical all of
-    rad B and each ι_jπ_j primitive.  A decomposable summand is refused with
-    InvalidInput.
+    Hom(M_i, M_j), rad B is derived by _radical_rows and validated as a
+    nilpotent ideal, and B carries the summand projections ι_j∘π_j as its
+    idempotents.  They are primitive because every summand's End ring is
+    local, which _local_radical certifies at every prime; a decomposable
+    summand is refused with InvalidInput.
     """
     if m.dim == 0:
         raise InvalidInput("endomorphism algebra of the zero module is not supported")
@@ -109,8 +76,7 @@ def endomorphism_algebra(m: Module,
         blocks = [[HomSpace(x, y) for y in summands] for x in summands]
         end = _sum_hom_space(m, m, blocks)
         # refuses a summand that is not local before the table below is built
-        radicals = [_local_radical(row[i]) for i, row in enumerate(blocks)]
-        if any(rad is None for rad in radicals):
+        if any(_local_radical(row[i]) is None for i, row in enumerate(blocks)):
             raise _not_local()
         offs = np.cumsum([0] + [x.dim for x in summands])
         # ι_j∘π_j: the identity of block (j, j)
@@ -121,7 +87,8 @@ def endomorphism_algebra(m: Module,
     # mult[i, j] = coordinates of f_j ∘ f_i
     mult = end.coords(end.compose(right=end.stacked[:, None]))
     if summands is not None:
-        radical = _radical_from_blocks(radicals, [x.dim for x in summands], end, mult)
+        powers = linalg.mat_pow(end.stacked, _p_power_at_least(p, m.dim), p)
+        radical = _radical_rows(mult, end.coords(powers), p)
     unit = end.coords(linalg.identity(m.dim))
     b = Algebra(p=p, dim=len(end), mult=mult, unit=unit, radical=radical,
                 idempotents=idempotents)

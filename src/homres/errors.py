@@ -10,7 +10,8 @@ class InvalidInput(HomresError, ValueError):
 
 
 class UnsupportedField(HomresError):
-    """A computation needs radical data that is unavailable at this characteristic.
+    """A computation needs data the algebra does not carry: the minimal cover
+    needs primitive idempotents, which table algebras lack.
 
     Raised instead of returning a possibly-wrong answer.
     """

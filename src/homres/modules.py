@@ -16,7 +16,8 @@ import numpy as np
 
 from . import linalg
 from .algebra import (
-    Algebra, _unmultiplicative, opposite, quotient_algebra, radical_basis, same_algebra,
+    Algebra, _not_rad_a, _p_power_at_least, _radical_rows, _unmultiplicative, opposite,
+    quotient_algebra, radical_basis, same_algebra,
 )
 from .errors import InvalidInput, InternalError, SearchExhausted
 
@@ -478,50 +479,31 @@ def _fitting_split(x: Module) -> Optional[Tuple[Module, Module]]:
     return None
 
 
-def _not_rad_a(a: Algebra) -> InvalidInput:
-    """The error for a supplied radical that A/radical proves smaller than rad A."""
-    return InvalidInput(
-        f"the radical supplied for a dim-{a.dim} algebra over GF({a.p}) is "
-        "not rad A: A/radical has an indecomposable summand that is not simple")
-
-
 def _local_radical(space: HomSpace) -> Optional[np.ndarray]:
     """Rows (in Hom-basis coordinates) spanning J(E) for E = space = End(x)
-    when E is local; None when it shows that E is not.
+    when E is local; None when E is not.
 
-    The span C of the commutators [b_a, b_b] is mapped into itself by
-    f |-> f^p, which is additive modulo C (Jacobson's formula).  So for
-    q = p^k the map f |-> f^q mod C is linear, and J is its kernel for the
-    least q >= dim x: on J, f^q = 0; off J, f^q is a unit, while C lies in
-    J because E/J is a field.
-
-    None unless E is local, as far as E alone shows it: a basis element
-    neither nilpotent nor invertible, or an E/J whose Frobenius fixes more
-    than GF(p) (a product of fields).  The kernel contains C, so no rows
-    means E is commutative and reduced, and with the Frobenius check a
-    field.  Where rows remain, endo's _radical_from_blocks completes the
-    certificate by checking that J is a left ideal of E.
+    J is _radical_rows on E's table, with q the least power of p >= dim x
+    (on J, f^q = 0).  E is local iff E/J is a field: commutative, as the
+    commutators lie in J, and with a Frobenius that fixes one line, not a
+    product of fields.  A basis element neither nilpotent nor invertible
+    refuses E before the table is built.
     """
     h, d, _ = space.stacked.shape
     p = space.p
     if h == 1:  # E = GF(p)·1
         return linalg.zeros(0, 1)
-    q = 1
-    while q < d:
-        q *= p
-    powers = linalg.mat_pow(space.stacked, q, p)
+    powers = linalg.mat_pow(space.stacked, _p_power_at_least(p, d), p)
     if any(f.any() and linalg.rank(f, p) < d for f in powers):
         return None
-    a, b = np.triu_indices(h, 1)
-    commutators = (linalg.mat_mul(space.stacked[a], space.stacked[b], p)
-                   - linalg.mat_mul(space.stacked[b], space.stacked[a], p))
-    coords = space.coords(np.concatenate([powers, commutators]))
-    mod_c = linalg.quotient_basis(coords[h:], p)[0]
-    radical = linalg.kernel_basis(linalg.mat_mul(mod_c, coords[:h].T, p), p)
+    # mult[k, a] = coordinates of f_a ∘ f_k: E^op's table, with E's radical
+    mult = space.coords(space.compose(right=space.stacked[:, None]))
+    radical = _radical_rows(mult, space.coords(powers), p)
     if h - len(radical) > 1:
-        # C ⊆ J makes E/J commutative, and J a left ideal makes it semisimple:
-        # a product of fields, one per line that its Frobenius fixes
         mod_j, lift = linalg.quotient_basis(radical, p)
+        a, b = np.triu_indices(h, 1)
+        if linalg.mat_mul(mult[a, b] - mult[b, a], mod_j.T, p).any():
+            return None
         frob = space.coords(linalg.mat_pow(space.stacked[lift.any(axis=1)], p, p))
         fixed = linalg.mat_mul(mod_j, frob.T, p) - linalg.identity(len(mod_j))
         if len(linalg.kernel_basis(fixed, p)) != 1:
@@ -575,21 +557,25 @@ def _vertex_projectives(a: Algebra) -> List[Tuple[np.ndarray, Module]]:
 
 def simple_modules(a: Algebra) -> List[Module]:
     """Complete irredundant list of simple left modules, each certified by
-    _is_simple.
+    _is_simple; computed once and cached on a.
 
-    Over an algebra with primitive idempotents e_v and a proven radical R
-    they are the tops S_v = P_v/R·P_v of the vertex projectives, one per
-    isomorphism class: S_v ≅ S_w iff e_w·S_v ≠ 0, as Hom(P_w, S_v) =
-    e_w·S_v.  Simple tops and sum_v dim R·P_v = dim R (that is, R·A = R)
-    make A/R = ⊕ S_v semisimple, so rad A ⊆ R; R ⊆ rad A is the algebra's
-    own: a validated nilpotent ideal for B, the arrow ideal of a quiver
-    algebra.  Elsewhere A/R is split by Fitting's lemma until every piece
-    is simple, and a piece with a nonzero map to an earlier one is dropped
-    (Schur's lemma).  That split is what certifies a supplied radical
-    (radical_unproven).  Either way a top, or an indecomposable piece, that
-    is not simple proves R smaller than rad A, which is InvalidInput.
+    Over an algebra with primitive idempotents e_v and radical R they are
+    the tops S_v = P_v/R·P_v of the vertex projectives, one per isomorphism
+    class: S_v ≅ S_w iff e_w·S_v ≠ 0, as Hom(P_w, S_v) = e_w·S_v.  Simple
+    tops and sum_v dim R·P_v = dim R (that is, R·A = R) make A/R = ⊕ S_v
+    semisimple, so rad A ⊆ R; R ⊆ rad A is the algebra's own: a validated
+    nilpotent ideal.  A top that is not simple proves R smaller than rad A,
+    which is InvalidInput.  Elsewhere A/rad A is split by Fitting's lemma
+    until every piece is simple, and a piece with a nonzero map to an
+    earlier one is dropped (Schur's lemma).
     """
-    if a.idempotents is not None and not a.radical_unproven:
+    if a._simples is None:
+        a._simples = _simple_modules(a)
+    return list(a._simples)  # a fresh list: callers may extend it
+
+
+def _simple_modules(a: Algebra) -> List[Module]:
+    if a.idempotents is not None:
         rad = radical_basis(a)
         firsts, tops, spanned = [], [], 0
         for v, (_, pv) in enumerate(_vertex_projectives(a)):
@@ -608,9 +594,7 @@ def simple_modules(a: Algebra) -> List[Module]:
         if spanned != len(rad):
             raise _not_rad_a(a)
         return tops
-    # an unproven radical is proven by the split below, not by radical_basis
-    rad = a.radical if a.radical_unproven else radical_basis(a)
-    q, proj, _ = quotient_algebra(a, rad)
+    q, proj, _ = quotient_algebra(a, radical_basis(a))
 
     def decompose(v: Module) -> List[Module]:
         if v.dim == 0:
@@ -626,7 +610,6 @@ def simple_modules(a: Algebra) -> List[Module]:
     for f in decompose(regular_module(q)):
         if not any(f.dim == g.dim and hom_basis(f, g) for g in factors):
             factors.append(f)
-    a.radical_unproven = False
     # pull back along A -> A/rad: b_i acts via its image in the quotient
     out = []
     for f in factors:

@@ -5,8 +5,8 @@ e_v (quiver algebras, their opposites, and B = (End ⊕ M_j)^op with declared
 summands) the "minimal" cover is the projective cover ⊕ A·e_v -> x, one
 summand per simple summand of top x, and the resolutions it builds are
 minimal.  Every other algebra has free covers A^g -> x: on the Nakayama
-generators of x ("evaluation"), or on its basis vectors where rad A cannot
-be found, doubled ("doubled") or in a seeded order ("permuted").  Schanuel's
+generators of x ("evaluation"), or on its basis vectors, doubled
+("doubled") or in a seeded order ("permuted").  Schanuel's
 lemma makes every invariant computed here independent of the cover.
 proj_dim and ext_dims, and everything built on them, take the minimal cover
 wherever there are idempotents; projective_resolution keeps "evaluation" as
@@ -18,8 +18,8 @@ dim P(top x) = dim x, which is_projective tests where there are idempotents.
 Elsewhere it tests Tor_1(A/J, x) = 0 for J = rad A, counted by dimensions on
 a Nakayama cover.  Both criteria need J to be the whole radical (a smaller
 nilpotent ideal leaves too large a top, and can make Tor_1 vanish on a
-module that is not projective), so they ask radical_basis for J and raise
-UnsupportedField where no radical can be had.
+module that is not projective), so they ask radical_basis for J, which is
+exact at every prime.
 
 inj.dim t = pd_{A^op} D t for D t = Hom_k(t, k): D is an exact duality that
 swaps injective A-modules and projective A^op-modules (Auslander-Reiten-
@@ -159,25 +159,21 @@ def _cover_matrix(x: Module, gens: List[int]) -> np.ndarray:
 def free_cover(x: Module, strategy: str = "evaluation", seed: int = 0) -> ModuleMap:
     """Surjection A^m -> x sending the generators of each free copy onto x.
 
-    evaluation: one copy of A per Nakayama generator of x, or per basis
-    vector, in order, where radical_basis cannot find rad A (Schanuel's lemma
-    makes every invariant built on top independent of the choice);
-    doubled: two copies per basis vector (same kernel class by Schanuel);
+    evaluation: one copy of A per Nakayama generator of x;
+    doubled: two copies per basis vector (same kernel class by Schanuel's
+    lemma, which makes every invariant built on top independent of the
+    choice);
     permuted: the basis vectors in a seeded random order.
     """
     if strategy not in COVER_STRATEGIES:
         raise InvalidInput(f"unknown cover strategy {strategy!r}")
     a = x.algebra
-    gens = list(range(x.dim))
     if strategy == "evaluation":
-        try:
-            # fewer generators keep syzygies from ballooning
-            gens = _nakayama_generators(x, radical_basis(a))
-        except UnsupportedField:
-            pass
-    if strategy == "doubled":
-        gens = gens + gens
-    elif strategy == "permuted":
+        # fewer generators keep syzygies from ballooning
+        gens = _nakayama_generators(x, radical_basis(a))
+    elif strategy == "doubled":
+        gens = list(range(x.dim)) * 2
+    else:
         rng = np.random.default_rng(seed)
         gens = [int(g) for g in rng.permutation(x.dim)]
     # A^g: the left multiplication matrices of A repeated down the diagonal

@@ -21,10 +21,10 @@ Schema (informal), all matrices dense row-major integers mod the root p:
                 "bound"?: ..., "gp_list"?: [...], "spot_checks"?: [...]}
     }
 
-A table algebra's radical must span rad A; [] declares rad A = 0.  At
-p <= dim it is certified the first time a computation needs rad A, by
-splitting A/radical into simple modules: a radical that split proves wrong
-exits 2, a split that cannot be decided exits 3.
+A table algebra's radical, when given, must span rad A; [] declares
+rad A = 0.  It is checked against the computed rad A at load, at every
+prime, and a wrong one exits 2 naming /algebras/<name>.  Without it, rad A
+is computed the first time a computation needs it.
 
 Validation failures carry a JSON-pointer-style location.
 """

@@ -14,7 +14,7 @@ from homres.algebra import (
     validate_algebra,
     validate_radical,
 )
-from homres.errors import InvalidInput, NotFiniteDimensional, UnsupportedField
+from homres.errors import InvalidInput, NotFiniteDimensional
 
 
 def dual_numbers(p):
@@ -122,7 +122,7 @@ def test_opposite_involution_and_convention():
 
 
 def test_radical_trace_form_large_p():
-    # k[x]/(x^2) over GF(7): trace form kernel is span{x}
+    # k[x]/(x^2) over GF(7), where the trace form would also find it: span{x}
     a = dual_numbers(7)
     a.radical = None
     rows = radical_basis(a)
@@ -144,11 +144,11 @@ def test_radical_semisimple_matrix_algebra():
     assert radical_basis(a).shape[0] == 0
 
 
-def test_radical_small_p_unsupported_without_supply():
+def test_radical_small_p_computed_without_supply():
+    # GF(2)[t]/(t^2), where the trace form vanishes: still (t)
     a = dual_numbers(2)
     a.radical = None
-    with pytest.raises(UnsupportedField):
-        radical_basis(a)
+    assert radical_basis(a).tolist() == [[0, 1]]
 
 
 def test_validate_radical_rejects_non_ideal_and_non_nilpotent():

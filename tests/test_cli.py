@@ -258,36 +258,37 @@ def test_cli_table_algebra_radical_rows_may_repeat(tmp_path, capsys, p, algebra,
 
 def test_cli_table_algebra_radical_must_be_the_radical(tmp_path, capsys):
     # (t) is the radical of GF(2)[t]/(t^2); declaring 0 leaves A/0 not
-    # semisimple, which the first computation needing rad A proves
+    # semisimple, which loading the workspace proves, so every task refuses it
     ws = _table_workspace(tmp_path, dict(_DUAL, radical=[]),
                           U=dict(_PRODUCT, radical=[]))
+    for task in ([], ["--task", "gldim-U"]):
+        code, out = run_cli(capsys, "gldim", "--workspace", ws, *task)
+        assert code == 2
+        body = json.loads(out)
+        assert body["status"] == "invalid-input"
+        assert body["reason"].startswith("/algebras/T:")
+        assert "is not rad A" in body["reason"]
+
+
+def test_cli_table_algebra_wrong_radical_of_t17_exits_2(tmp_path, capsys):
+    # GF(2)[t]/(t^17) with rad A declared 0: the radical computed at load is
+    # (t), so the declared one is refused
+    ws = _table_workspace(tmp_path, dict(_truncated_polynomial(17), radical=[]))
     code, out = run_cli(capsys, "gldim", "--workspace", ws)
     assert code == 2
     body = json.loads(out)
     assert body["status"] == "invalid-input"
-    assert "is not rad A" in body["reason"]
-    # the workspace still loads, and its other algebra still answers
-    code, out = run_cli(capsys, "gldim", "--workspace", ws, "--task", "gldim-U")
-    assert code == 0 and json.loads(out)["gldim"] == 0
-
-
-def test_cli_table_algebra_undecided_radical_exits_3(tmp_path, capsys):
-    # GF(2)[t]/(t^17) with rad A declared 0: A/0 is indecomposable, but with
-    # 2^17 endomorphisms and a 17-dimensional factor the split cannot prove it
-    ws = _table_workspace(tmp_path, dict(_truncated_polynomial(17), radical=[]))
-    code, out = run_cli(capsys, "gldim", "--workspace", ws)
-    assert code == 3
-    assert json.loads(out)["status"] == "hypotheses-not-satisfied"
+    assert body["reason"].startswith("/algebras/T:") and "is not rad A" in body["reason"]
 
 
 @pytest.mark.parametrize("command", [t["cmd"] for t in _TABLE_TASKS])
 def test_cli_table_algebra_without_radical_at_small_p(tmp_path, capsys, command):
-    # no radical can be computed for a dim-2 algebra over GF(2): exit 3, not
-    # a verdict resting on a guessed radical
-    ws = _table_workspace(tmp_path, _DUAL)
-    code, out = run_cli(capsys, command, "--workspace", ws)
-    assert code == 3
-    assert "needs a supplied basis" in json.loads(out)["reason"]
+    # rad A of a dim-2 algebra over GF(2) is computed: the same report as
+    # with the radical (t) supplied
+    code, out = run_cli(capsys, command, "--workspace", _table_workspace(tmp_path, _DUAL))
+    assert code == 0
+    supplied = _table_workspace(tmp_path, dict(_DUAL, radical=[[0, 1]]))
+    assert run_cli(capsys, command, "--workspace", supplied) == (0, out)
 
 
 @pytest.mark.parametrize("out_file", [False, True])
@@ -330,15 +331,15 @@ def test_cli_minimal_resolution_needs_idempotents(tmp_path, capsys):
 
 @pytest.mark.parametrize("algebra, code, expect", [
     (dict(_DUAL, radical=[]), 2, "is not rad A"),
-    (dict(_truncated_polynomial(17), radical=[]), 3, None),
+    (dict(_truncated_polynomial(17), radical=[]), 2, "is not rad A"),
     (dict(_DUAL, radical=[[0, 1]]), 0, 0),
     (dict(_PRODUCT, radical=[]), 0, 0),
-    (_DUAL, 3, "needs a supplied basis"),
+    (_DUAL, 0, 0),
 ])
 def test_cli_injdim_certifies_the_radical_on_the_opposite(tmp_path, capsys, algebra,
                                                           code, expect):
-    # inj_dim resolves D(reg) over T^op, which carries T's radical and its
-    # certificate obligation
+    # inj_dim resolves D(reg) over T^op, which carries T's radical; a wrong
+    # one is refused when T is loaded
     ws = _table_workspace(tmp_path, algebra)
     got, out = run_cli(capsys, "injdim", "--workspace", ws)
     assert got == code

@@ -363,7 +363,8 @@ def bundled(name: str, p: int):
 
 def rebased(x: Complex, rng) -> Complex:
     """x with every term under a random invertible change of basis g_i,
-    and d^i carried to g_{i+1}^{-1} d^i g_i."""
+    and d^i carried to g_{i+1}^{-1} d^i g_i.  Each product is reduced mod p
+    before the next, so the triple products cannot overflow int64 at large p."""
     p = x.algebra.p
     gs, terms = [], []
     for t in x.terms:
@@ -374,8 +375,9 @@ def rebased(x: Complex, rng) -> Complex:
                 break
         gs.append((g, g_inv))
         terms.append(Module(x.algebra, t.dim,
-                            np.einsum("ab,kbc,cd->kad", g_inv, t.action, g) % p))
-    diffs = [ModuleMap(terms[i], terms[i + 1], gs[i + 1][1] @ d.matrix @ gs[i][0] % p)
+                            linalg.mat_mul(linalg.mat_mul(g_inv, t.action, p), g, p)))
+    diffs = [ModuleMap(terms[i], terms[i + 1],
+                       linalg.mat_mul(linalg.mat_mul(gs[i + 1][1], d.matrix, p), gs[i][0], p))
              for i, d in enumerate(x.diffs)]
     return Complex(x.algebra, x.lo, terms, diffs)
 

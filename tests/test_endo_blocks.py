@@ -1,7 +1,7 @@
 """B = (End ⊕ M_i)^op from its summand blocks, and gl.dim over its simples.
 
-endomorphism_algebra assembles End(M) and rad B from the blocks
-Hom(M_i, M_j); the construction that solved Hom(M, M) as one system, and
+endomorphism_algebra assembles End(M) from the blocks Hom(M_i, M_j) and
+derives rad B from B's table; the construction that solved Hom(M, M) as one system, and
 found the singular maps between isomorphic summands by enumeration, is kept
 here as an oracle, and B must agree with it bit for bit.  simple_modules
 takes the simples of an algebra with idempotents as the tops of its vertex
@@ -22,8 +22,8 @@ from hypothesis import given, settings, strategies as st
 from homres import endo, linalg, modules
 from homres.approx import AddCategory
 from homres.algebra import (
-    Algebra, QuiverPresentation, _ideal_closure_step, from_quiver, from_table, opposite,
-    quotient_algebra,
+    Algebra, QuiverPresentation, _ideal_closure_step, _radical_rows, from_quiver, from_table,
+    opposite, quotient_algebra,
 )
 from homres.endo import endomorphism_algebra, verify_theorem2
 from homres.errors import InvalidInput, SearchExhausted
@@ -119,8 +119,7 @@ def gl_dim_oracle(a: Algebra, bound: int):
     without its idempotents, so the vertex tops do not run, and then
     resolved over a.
     """
-    copy = Algebra(p=a.p, dim=a.dim, mult=a.mult, unit=a.unit, radical=a.radical,
-                   radical_unproven=a.radical_unproven)
+    copy = Algebra(p=a.p, dim=a.dim, mult=a.mult, unit=a.unit, radical=a.radical)
     best = 0
     for s in simple_modules(copy):
         d = proj_dim(Module(a, s.dim, s.action), bound)
@@ -268,6 +267,14 @@ def test_theorem2_families_b_match_the_oracle(family, n, p, seed):
 
 
 @pytest.mark.parametrize("p", PRIMES)
+def test_a_commutative_b_matches_the_oracle(p):
+    # B = k[x]/(x^4) itself: commutative, so no commutator lies in rad B = (x),
+    # and f |-> f^q must kill it, with q >= 4 > p at p = 2, 3
+    ctx = _check_b([uniserial(4, p)[1][-1]])
+    assert len(ctx.b.radical) == 3
+
+
+@pytest.mark.parametrize("p", PRIMES)
 def test_non_basic_b_matches_the_oracle(p):
     a = dual_numbers(p)
     reg, k = regular_module(a), simple_modules(a)[0]
@@ -328,7 +335,8 @@ def test_a_product_of_fields_is_refused_by_its_frobenius(p, seed):
 
 
 def _unchecked_radical(space):
-    """The kernel _local_radical returns, without its refusals."""
+    """K, the kernel of f |-> f^q modulo commutators, without the left-ideal
+    step that cuts it down to J."""
     p, d, q = space.p, space.stacked.shape[1], 1
     while q < d:
         q *= p
@@ -339,14 +347,18 @@ def _unchecked_radical(space):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_a_matrix_ring_is_refused_as_no_left_ideal(monkeypatch, p):
-    # k ⊕ k as one summand: E = M_2(GF(p)), whose kernel J is sl_2, with
-    # E/J = GF(p); the diagonal block's kernel, the largest left ideal in J,
-    # is 0, and that alone refuses it
+def test_a_matrix_ring_is_refused_as_no_left_ideal(p):
+    # k ⊕ k as one summand: E = M_2(GF(p)), whose kernel K is sl_2, with
+    # E/K = GF(p); the largest left ideal in K is J = 0, and E/J = M_2 is
+    # not commutative, so _local_radical itself refuses E
     k = simple_modules(dual_numbers(p))[0]
     k2 = sum_module([k, k])
-    assert len(_unchecked_radical(HomSpace(k2, k2))) == 3
-    monkeypatch.setattr(endo, "_local_radical", _unchecked_radical)
+    space = HomSpace(k2, k2)
+    assert len(_unchecked_radical(space)) == 3
+    mult = space.coords(space.compose(right=space.stacked[:, None]))
+    # q = p, the least power of p >= dim k ⊕ k
+    assert len(_radical_rows(mult, space.coords(linalg.mat_pow(space.stacked, p, p)), p)) == 0
+    assert _local_radical(space) is None
     with pytest.raises(InvalidInput, match="End ring is not local"):
         endomorphism_algebra(k2, summands=[k2])
 

@@ -1,8 +1,9 @@
 """HomSpace.compose, HomSpace.induced and modules._solve_joint against the
 hand-written Hom-basis products and solves they replaced.
 
-The oracles below are kept verbatim up to their names: ext_dims's
-_hom_complex_delta, the bare-@ products of is_c_acyclic, of
+The oracles below are kept verbatim up to their names: endo's
+_radical_from_blocks (the block rule for rad B that algebra._radical_rows
+replaced), ext_dims's _hom_complex_delta, the bare-@ products of is_c_acyclic, of
 homotopy_hom_dim's blocks, of _factor_through and of the joint solve, the
 mat_mul products of B's table and of hom_functor, and add_membership's own
 section system.  Every output must agree with them bit for bit: B (mult,
@@ -15,6 +16,7 @@ are random conjugates of the bundled modules and complexes at p = 2, 3, 5,
 """
 
 from contextlib import ExitStack
+from typing import List
 from unittest import mock
 
 import numpy as np
@@ -32,7 +34,7 @@ from homres.complexes import (
     mapping_cone, stalk,
 )
 from homres.endo import (
-    EndoContext, _not_local, _radical_from_blocks, endomorphism_algebra, hom_functor,
+    EndoContext, _not_local, _summand_blocks, endomorphism_algebra, hom_functor,
     hom_functor_map,
 )
 from homres.errors import HypothesesNotSatisfied, InvalidInput
@@ -129,6 +131,37 @@ def _solve_joint_oracle(unknowns, equations, p):
         return None
     return {key: space.combine(sol[offsets[key]:offsets[key] + len(space)])
             for key, space in unknowns.items()}
+
+
+def _radical_from_blocks(radicals: List[np.ndarray], dims: List[int], end: HomSpace,
+                         mult: np.ndarray) -> np.ndarray:
+    """Radical of End(⊕ M_i) in basis coordinates, for end assembled from
+    the blocks Hom(M_i, M_j), dim M_i = dims[i] and radicals[i] =
+    _local_radical(Hom(M_i, M_i)), from B's table mult[k, a] = coordinates
+    of f_a ∘ f_k.
+
+    With every End(M_i) local, f in Hom(M_i, M_j) is radical iff g∘f lies
+    in J(End M_i) for every g in Hom(M_j, M_i) (Auslander-Reiten-Smalø,
+    ch. V), whether or not M_i ≅ M_j.  So rad B is one kernel: the f whose
+    every f_a ∘ f has its diagonal blocks in ⊕ J(End M_i), read off mult,
+    whose block (i, i) coordinates are End(M_i)'s.  On block (i, i) the
+    kernel is the largest left ideal inside J(End M_i); it must be all of
+    it, or End(M_i) is not local (InvalidInput).
+    """
+    p, n = end.p, len(end)
+    source, target = _summand_blocks(end.stacked, dims)
+    diagonal = [np.flatnonzero((source == i) & (target == i)) for i in range(len(dims))]
+    # system[k, a, t]: coordinate t of the diagonal blocks of f_a ∘ f_k, each
+    # modulo its J(End M_i)
+    system = np.concatenate([
+        linalg.mat_mul(mult[:, :, rows], linalg.quotient_basis(rad, p)[0].T, p)
+        for rows, rad in zip(diagonal, radicals)], axis=2)
+    radical = linalg.kernel_basis(system.transpose(1, 2, 0).reshape(-1, n), p)
+    # each kernel row lies in one block; those on the diagonal span the left ideals
+    on_diagonal = radical[:, np.concatenate(diagonal)].any(axis=1)
+    if np.count_nonzero(on_diagonal) != sum(len(rad) for rad in radicals):
+        raise _not_local()
+    return radical
 
 
 def _endomorphism_algebra_oracle(m, summands=None):

@@ -146,4 +146,4 @@ def test_repeated_inj_dim_reuses_the_opposite_algebra(monkeypatch):
                    radical=[[0, 1]])
     reg = regular_module(a)
     assert [inj_dim(reg, 4) for _ in range(5)] == [0] * 5
-    assert len(splits) == 1
+    assert len(splits) == 0  # from_table checked the radical: no split certifies it

@@ -264,13 +264,18 @@ def _bundled_modules(name):
 
 
 def _random_conjugate(x, rng):
-    """x in a random basis: the action b -> g b g^-1 for an invertible g."""
+    """x in a random basis: the action b -> g b g^-1 for an invertible g.
+
+    Each product is reduced mod p before the next: at p near 2^20 a bare
+    g @ action @ g^-1 overflows int64 and leaves no module at all.
+    """
     p = x.p
     while True:
         g = rng.integers(0, p, size=(x.dim, x.dim))
         ginv = linalg.inverse(g, p)
         if ginv is not None:
-            return Module(x.algebra, x.dim, (g @ x.action @ ginv) % p)
+            return Module(x.algebra, x.dim,
+                          linalg.mat_mul(linalg.mat_mul(g, x.action, p), ginv, p))
 
 
 @settings(max_examples=40, deadline=None)

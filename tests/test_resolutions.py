@@ -217,7 +217,7 @@ def _b_simples(name, p):
 
 def _trace_form_modules(name, p):
     """The bundled modules over a fresh copy of their algebra without its
-    quiver data, so radical_basis falls back to the trace form (p > dim)."""
+    quiver data, so radical_basis computes rad A itself."""
     ws = _workspace_at(name, p)
     a0 = ws.algebras["A"]
     a = Algebra(p=p, dim=a0.dim, mult=a0.mult, unit=a0.unit)
@@ -262,8 +262,8 @@ def _dual_numbers_table(p, radical=None):
 
 
 def test_free_cover_finds_the_trace_form_radical():
-    # at p > dim free_cover asks radical_basis for rad A itself, so a fresh
-    # bare table gets a Nakayama cover on its two generators
+    # free_cover asks radical_basis for rad A itself, so a fresh bare table
+    # gets a Nakayama cover on its two generators
     a = _dual_numbers_table(5)
     assert a.radical is None
     k = Module(a, 1, np.array([[[1]], [[0]]]))
@@ -274,12 +274,14 @@ def test_free_cover_finds_the_trace_form_radical():
     assert [t.dim for t in res.terms] == [4, 2, 2, 2]
 
 
-def test_free_cover_without_a_radical_covers_every_basis_vector():
-    # at p <= dim no radical can be computed: one copy of A per basis vector
+def test_free_cover_at_small_p_finds_the_radical():
+    # at p <= dim too: a Nakayama cover on the two generators, not one copy
+    # of A per basis vector
     a = _dual_numbers_table(2)
     k = Module(a, 1, np.array([[[1]], [[0]]]))
     x = direct_sum([regular_module(a), k]).module
-    assert free_cover(x).source.dim == 6
+    assert free_cover(x).source.dim == 4
+    assert a.radical.tolist() == [[0, 1]]
 
 
 def test_supplied_radical_rows_are_reduced_to_a_basis():
@@ -297,14 +299,11 @@ def test_dependent_radical_rows_do_not_skip_the_trace_check():
         from_table(5, 3, cube, [1, 0, 0], radical=[[0, 0, 1]] * 3)
 
 
-def test_supplied_radical_at_small_p_is_certified_on_first_use():
-    a = _dual_numbers_table(2, radical=[])  # rad A is (t), not 0
-    assert a.radical_unproven
+def test_supplied_radical_at_small_p_is_checked_at_load():
     with pytest.raises(InvalidInput, match="not rad A"):
-        is_projective(regular_module(a))
+        _dual_numbers_table(2, radical=[])  # rad A is (t), not 0
     b = _dual_numbers_table(2, radical=[[0, 1]])
     assert is_projective(regular_module(b))
-    assert not b.radical_unproven
 
 
 @pytest.mark.parametrize("which", ["regular", "simple"])

@@ -15,16 +15,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homres import linalg
+from homres import linalg, modules
 from homres.algebra import (
-    Algebra, QuiverPresentation, from_quiver, from_table, opposite, quotient_algebra,
-    radical_basis,
+    Algebra, QuiverPresentation, _not_rad_a, from_quiver, from_table, opposite,
+    quotient_algebra, radical_basis,
 )
 from homres.endo import endomorphism_algebra
 from homres.errors import SearchExhausted
 from homres.modules import (
     EXHAUSTIVE_CAP, UNDECIDED, Module, _fitting_split, _is_simple, _nonzero_vectors,
-    _not_rad_a, _quotient_on_rows, _rad_span, _vertex_projectives, is_isomorphic,
+    _quotient_on_rows, _rad_span, _vertex_projectives, is_isomorphic,
     regular_module, simple_modules, sum_module, validate_module,
 )
 from homres.resolutions import EXCEEDS_BOUND, gl_dim
@@ -72,7 +72,7 @@ def _declared_simples(a):
 def _split_by_isomorphism_search(a):
     """A/rad split by Fitting's lemma, each factor spin-checked simple, and
     duplicates removed by is_isomorphic."""
-    rad = a.radical if a.radical_unproven else radical_basis(a)
+    rad = radical_basis(a)
     q, proj, _ = quotient_algebra(a, rad)
     reg = regular_module(q)
 
@@ -88,7 +88,6 @@ def _split_by_isomorphism_search(a):
         return decompose(left) + decompose(right)
 
     factors = decompose(reg)
-    a.radical_unproven = False
     pulled = []
     for f in factors:
         action = linalg.mat_mul(proj.T, f.action.reshape(q.dim, f.dim * f.dim), a.p)
@@ -286,3 +285,21 @@ def test_a_simple_quotient_needs_no_splitting_search(p):
         assert _outcome(_split_by_isomorphism_search, a) is SearchExhausted
         (s,) = simple_modules(a)
         assert s.dim == 2 and _is_simple(s)
+
+
+def test_the_tops_are_computed_once_per_algebra(monkeypatch):
+    # loading a2-hereditary builds its two `simple` module specs, and gl_dim
+    # takes the same simples: each of the two tops is certified once
+    certified = []
+
+    def counting(x):
+        certified.append(x.dim)
+        return is_simple(x)
+
+    is_simple = modules._is_simple
+    monkeypatch.setattr(modules, "_is_simple", counting)
+    with open(bundled_workspace_path("a2-hereditary"), encoding="utf-8") as fh:
+        ws = parse_workspace(json.load(fh))
+    assert gl_dim(ws.algebras["A"], 4) == 1
+    assert certified == [1, 1]
+    assert simple_modules(ws.algebras["A"]) is not simple_modules(ws.algebras["A"])
