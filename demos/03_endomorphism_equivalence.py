@@ -10,7 +10,6 @@ and B (the classical Auslander-type algebra of A + k) has gl.dim exactly 2.
 from homres import (
     AddCategory,
     QuiverPresentation,
-    direct_sum,
     endomorphism_algebra,
     from_quiver,
     gl_dim,
@@ -26,10 +25,9 @@ dual = from_quiver(QuiverPresentation(vertices=1, arrows=[(0, 0)],
 reg = regular_module(dual)
 (k,) = simple_modules(dual)
 
-# B is assembled from the Hom basis of End(A + k); declaring the summands
-# lets the radical be read off the block structure, which is what makes
-# gl.dim B computable at characteristic 2.
-ctx = endomorphism_algebra(direct_sum([reg, k]).module, summands=[reg, k])
+# B is assembled from the blocks Hom(M_i, M_j) of add(A + k); its radical is
+# exact at every prime, so gl.dim B is computable at characteristic 2.
+ctx = endomorphism_algebra(AddCategory([reg, k]))
 print("dim B =", ctx.b.dim, "| rad B rank =", ctx.b.radical.shape[0])
 print("gl.dim B =", gl_dim(ctx.b, 10))
 

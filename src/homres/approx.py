@@ -1,18 +1,19 @@
 """Right add(M)-approximations and everything built from them.
 
 add(M) is presented by an explicit list of summands (the user's candidate
-indecomposables).  Approximations are full Hom-basis evaluations built from
-the small spaces Hom(M_j, x): the lifting property holds by construction and
-is re-verified on explicit lifts, the inclusion of each summand copy into the
-source.  Add-membership solves its section over the spaces Hom(x, M_j) by
-the one joint solve over Hom spaces, modules._solve_joint; no Hom space into
-the approximation source is ever solved.
+indecomposables) and owns their blocks Hom(M_i, M_j), each solved once.
+Approximations are full Hom-basis evaluations built from the small spaces
+Hom(M_j, x): the lifting property holds by construction and is re-verified on
+explicit lifts, the inclusion of each summand copy into the source.
+Add-membership solves its section over the spaces Hom(x, M_j) by the one
+joint solve over Hom spaces, modules._solve_joint; no Hom space into the
+approximation source is ever solved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,6 +37,8 @@ class AddCategory:
     summands: List[Module]
     # the caller's claim that _AA ∈ add(M); recorded only, nothing reads it
     generator: bool = False
+    _homs: Dict[Tuple[int, int], HomSpace] = field(  # the blocks solved so far
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.summands:
@@ -51,6 +54,12 @@ class AddCategory:
     def sum_module(self) -> Module:
         return sum_module(self.summands)
 
+    def hom(self, i: int, j: int) -> HomSpace:
+        """HomSpace(M_i, M_j), solved on first use and kept."""
+        if (i, j) not in self._homs:
+            self._homs[i, j] = HomSpace(self.summands[i], self.summands[j])
+        return self._homs[i, j]
+
 
 @dataclass
 class Approximation:
@@ -60,36 +69,25 @@ class Approximation:
     piece_homs: List[ModuleMap]  # the Hom-basis element each copy evaluates
 
 
-def _summand_homs(x: Module, c: AddCategory, blocks: Optional[List[List[HomSpace]]],
-                  into: bool) -> List[HomSpace]:
-    """Hom(M_j, x) (into) or Hom(x, M_j) for every summand M_j, in order.
-
-    blocks, when given, is the table blocks[i][j] = HomSpace(M_i, M_j) of the
-    summands of c, as EndoContext keeps it; when x is the summand M_i itself,
-    the spaces are read from its row or column and nothing is solved.
-    """
+def _summand_homs(x: Module, c: AddCategory, into: bool) -> List[HomSpace]:
+    """Hom(M_j, x) (into) or Hom(x, M_j) for every summand M_j, in order:
+    c's blocks of column or row i when x is the summand M_i itself."""
     ms = c.summands
-    if blocks is not None:
-        shapes = [[space.stacked.shape[1:] for space in row] for row in blocks]
-        if shapes != [[(y.dim, m.dim) for y in ms] for m in ms]:
-            raise InvalidInput("the Hom block table does not match the add-category")
     i = next((i for i, m in enumerate(ms) if m is x), None)
-    if blocks is None or i is None:
+    if i is None:
         return [HomSpace(m, x) if into else HomSpace(x, m) for m in ms]
-    return [blocks[j][i] if into else blocks[i][j] for j in range(len(ms))]
+    return [c.hom(j, i) if into else c.hom(i, j) for j in range(len(ms))]
 
 
-def right_approximation(x: Module, c: AddCategory,
-                        blocks: Optional[List[List[HomSpace]]] = None) -> Approximation:
+def right_approximation(x: Module, c: AddCategory) -> Approximation:
     """Evaluation of the whole Hom basis: M_0 = ⊕_j M_j^{dim Hom(M_j, x)}.
 
     The lifting contract, Hom(M_j, f) surjective for every summand, is
     re-verified before returning on its witnesses (_lifts_witnessed).
-    blocks: see _summand_homs.
     """
     if not same_algebra(x.algebra, c.algebra):
         raise InvalidInput("module and add-category live over different algebras")
-    spaces = _summand_homs(x, c, blocks, into=True)
+    spaces = _summand_homs(x, c, into=True)
     pieces = [m for m, space in zip(c.summands, spaces) for _ in space.basis]
     piece_homs = [h for space in spaces for h in space.basis]
     matrix = np.hstack([linalg.zeros(x.dim, 0)] + [h.matrix for h in piece_homs])
@@ -132,21 +130,19 @@ class Membership:
         return self.member
 
 
-def add_membership(x: Module, c: AddCategory,
-                   blocks: Optional[List[List[HomSpace]]] = None) -> Membership:
+def add_membership(x: Module, c: AddCategory) -> Membership:
     """x ∈ add(M) iff the right approximation f onto x splits.
 
     The section s is solved over the blocks by _solve_joint: one unknown s_k
     in Hom(x, M_j) for each piece k, a copy of M_j, in piece order (the
-    basis order of Hom(x, M_0)), with sum_k h_k ∘ s_k = id_x.  blocks: see
-    _summand_homs.
+    basis order of Hom(x, M_0)), with sum_k h_k ∘ s_k = id_x.
     """
     if x.dim == 0:
         return Membership(True)
-    approx = right_approximation(x, c, blocks)
+    approx = right_approximation(x, c)
     # Hom(x, M_j) of the summand each piece copies
     out = {id(m): space for m, space in
-           zip(c.summands, _summand_homs(x, c, blocks, into=False))}
+           zip(c.summands, _summand_homs(x, c, into=False))}
     spaces = [out[id(m)] for m in approx.pieces]
     sol = _solve_joint(dict(enumerate(spaces)),
                        [([(k, h.matrix, None) for k, h in enumerate(approx.piece_homs)],

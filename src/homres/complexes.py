@@ -244,8 +244,8 @@ def c_resolution(x: Complex, c: AddCategory, depth: int) -> CResolution:
     C-acyclic above the truncation-safe degree.
 
     Width induction: a stalk is resolved by iterated right approximations;
-    wider complexes split off their lowest term as a cone (X = Cone(u) with
-    u: X^j[-j-1] -> σ_{>j}X on the nose), resolve both pieces, lift the glue
+    wider complexes split off their lowest term as a cone (X = Cone(u)
+    exactly, with u: X^j[-j-1] -> σ_{>j}X), resolve both pieces, lift the glue
     map through the second resolution up to homotopy by one call of the
     joint solve over Hom spaces, modules._solve_joint, and return the cone
     of the lift.

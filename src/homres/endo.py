@@ -1,9 +1,9 @@
 """The endomorphism algebra B = (End_A M)^op and the Hom_A(M, -) functor.
 
 B's basis is the rref-ordered hom basis of End(M); every B-side computation
-inherits that ordering, so runs are bit-reproducible.  When M is given as a
-direct sum of indecomposable summands, End(M) is assembled from the blocks
-Hom(M_i, M_j), each solved once, and rad B is algebra._radical_rows on B's
+inherits that ordering, so runs are bit-reproducible.  M is the direct sum of
+an add-category's indecomposable summands, End(M) is assembled from the
+category's blocks Hom(M_i, M_j), and rad B is algebra._radical_rows on B's
 table, the one exact radical at every supported prime.
 """
 
@@ -21,19 +21,17 @@ from .algebra import (
 from .approx import AddCategory, add_membership, perp_membership
 from .errors import HypothesesNotSatisfied, InvalidInput
 from .modules import (
-    HomSpace, Module, ModuleMap, _local_radical, _sum_hom_space, same_module, sum_module,
+    HomSpace, Module, ModuleMap, _local_radical, _sum_hom_space,
 )
 from .resolutions import EXCEEDS_BOUND, gl_dim, inj_dim
 
 
 @dataclass
 class EndoContext:
-    m: Module
+    category: AddCategory  # add M; B was built from its blocks
+    m: Module              # M, the direct sum of the category's summands
     b: Algebra
     basis_maps: List[ModuleMap]  # basis of End(M); index i <-> basis element b_i
-    summands: Optional[List[Module]] = None
-    # blocks[i][j] = Hom(summands[i], summands[j]), the spaces B was built from
-    blocks: Optional[List[List[HomSpace]]] = None
 
 
 def _not_local() -> InvalidInput:
@@ -52,49 +50,37 @@ def _summand_blocks(maps: np.ndarray, dims: List[int]) -> Tuple[np.ndarray, np.n
             np.searchsorted(ends, rows, side="right"))
 
 
-def endomorphism_algebra(m: Module,
-                         summands: Optional[List[Module]] = None) -> EndoContext:
-    """(End_A m)^op as structure constants: b_i . b_j corresponds to f_j ∘ f_i.
+def endomorphism_algebra(c: AddCategory) -> EndoContext:
+    """(End_A M)^op as structure constants, M the direct sum of c's summands:
+    b_i . b_j corresponds to f_j ∘ f_i.
 
-    When the declared indecomposable summands of m are supplied (their direct
-    sum must equal m on the nose), End(m) is assembled from the blocks
-    Hom(M_i, M_j), rad B is derived by _radical_rows and validated as a
-    nilpotent ideal, and B carries the summand projections ι_j∘π_j as its
-    idempotents.  They are primitive because every summand's End ring is
-    local, which _local_radical certifies at every prime; a decomposable
-    summand is refused with InvalidInput.
+    End(M) is assembled from the blocks c.hom(i, j), rad B is derived by
+    _radical_rows and validated as a nilpotent ideal, and B carries the
+    summand projections ι_j∘π_j as its idempotents.  They are primitive
+    because every summand's End ring is local, which _local_radical
+    certifies at every prime; a decomposable summand is refused with
+    InvalidInput.
     """
-    if m.dim == 0:
-        raise InvalidInput("endomorphism algebra of the zero module is not supported")
-    p = m.p
-    radical = idempotents = blocks = None
-    if summands is None:
-        end = HomSpace(m, m)
-    else:
-        if not same_module(sum_module(summands), m):
-            raise InvalidInput("declared summands do not sum to the module on the nose")
-        blocks = [[HomSpace(x, y) for y in summands] for x in summands]
-        end = _sum_hom_space(m, m, blocks)
-        # refuses a summand that is not local before the table below is built
-        if any(_local_radical(row[i]) is None for i, row in enumerate(blocks)):
-            raise _not_local()
-        offs = np.cumsum([0] + [x.dim for x in summands])
-        # ι_j∘π_j: the identity of block (j, j)
-        ident = np.zeros((len(summands), m.dim, m.dim), dtype=np.int64)
-        for j, x in enumerate(summands):
-            ident[j, offs[j]:offs[j + 1], offs[j]:offs[j + 1]] = linalg.identity(x.dim)
-        idempotents = end.coords(ident)
+    m, summands = c.sum_module(), c.summands
+    p, n = m.p, len(summands)
+    blocks = [[c.hom(i, j) for j in range(n)] for i in range(n)]
+    end = _sum_hom_space(m, m, blocks)
+    # refuses a summand that is not local before the table below is built
+    if any(_local_radical(row[i]) is None for i, row in enumerate(blocks)):
+        raise _not_local()
+    offs = np.cumsum([0] + [x.dim for x in summands])
+    # ι_j∘π_j: the identity of block (j, j)
+    ident = np.zeros((n, m.dim, m.dim), dtype=np.int64)
+    for j, x in enumerate(summands):
+        ident[j, offs[j]:offs[j + 1], offs[j]:offs[j + 1]] = linalg.identity(x.dim)
     # mult[i, j] = coordinates of f_j ∘ f_i
     mult = end.coords(end.compose(right=end.stacked[:, None]))
-    if summands is not None:
-        powers = linalg.mat_pow(end.stacked, _p_power_at_least(p, m.dim), p)
-        radical = _radical_rows(mult, end.coords(powers), p)
-    unit = end.coords(linalg.identity(m.dim))
-    b = Algebra(p=p, dim=len(end), mult=mult, unit=unit, radical=radical,
-                idempotents=idempotents)
-    validate_algebra(b)  # also validates rad B when it was derived
-    return EndoContext(m=m, b=b, basis_maps=end.basis, summands=summands,
-                       blocks=blocks)
+    powers = linalg.mat_pow(end.stacked, _p_power_at_least(p, m.dim), p)
+    b = Algebra(p=p, dim=len(end), mult=mult, unit=end.coords(linalg.identity(m.dim)),
+                radical=_radical_rows(mult, end.coords(powers), p),
+                idempotents=end.coords(ident))
+    validate_algebra(b)  # also validates rad B
+    return EndoContext(category=c, m=m, b=b, basis_maps=end.basis)
 
 
 def hom_functor(ctx: EndoContext, x: Module) -> Module:
@@ -147,8 +133,7 @@ def verify_theorem2(a: Algebra, t: Module, c: AddCategory, r: int,
         raise InvalidInput("theorem inputs live over different algebras")
     if r < 0:
         raise InvalidInput(f"r must be >= 0, got {r}")
-    m_sum = sum_module(c.summands)
-    ctx = endomorphism_algebra(m_sum, summands=c.summands)
+    ctx = endomorphism_algebra(c)
     if bound is None:
         bound = max(2 * r, a.dim + ctx.b.dim)
     injdim_t = inj_dim(t, bound)
@@ -163,7 +148,7 @@ def verify_theorem2(a: Algebra, t: Module, c: AddCategory, r: int,
     spot_results = []
     for x in (spot_check_modules or []):
         in_perp = perp_membership(x, t, int(injdim_t))
-        in_add = bool(add_membership(x, c, blocks=ctx.blocks))
+        in_add = bool(add_membership(x, c))
         spot_results.append(in_perp == in_add)
         if in_perp and not in_add:
             raise HypothesesNotSatisfied(

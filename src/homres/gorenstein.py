@@ -18,7 +18,7 @@ from .algebra import Algebra, opposite, same_algebra
 from .approx import AddCategory, add_membership, perp_membership, right_approximation
 from .endo import EndoContext, Theorem2Report, _summand_blocks, endomorphism_algebra
 from .errors import HypothesesNotSatisfied, InternalError, InvalidInput
-from .modules import Module, dual_module, map_kernel, regular_module, same_module, sum_module
+from .modules import Module, dual_module, map_kernel, regular_module, same_module
 from .resolutions import EXCEEDS_BOUND, ext_dims, gl_dim, inj_dim
 
 
@@ -96,7 +96,7 @@ def _isomorphic_pair(ctx: EndoContext) -> Optional[Tuple[int, int]]:
     """
     b = ctx.b
     source, target = _summand_blocks(np.stack([f.matrix for f in ctx.basis_maps]),
-                                     [x.dim for x in ctx.summands])
+                                     [x.dim for x in ctx.category.summands])
     # column t of the projection B -> B/rad B is zero iff b_t lies in rad B
     outside = linalg.quotient_basis(b.radical, b.p)[0].any(axis=0)
     pairs = sorted((min(i, j), max(i, j))
@@ -123,8 +123,8 @@ def relative_auslander(a: Algebra, gp_list: List[Module], bound: int, *,
     if gorenstein is not None and gorenstein.bound != bound:
         raise InvalidInput("the Gorenstein report was computed within another bound")
     if theorem2 is not None and (
-            theorem2.bound != bound or len(theorem2.ctx.summands or ()) != len(gp_list)
-            or not all(map(same_module, theorem2.ctx.summands, gp_list))):
+            theorem2.bound != bound or len(theorem2.ctx.category.summands) != len(gp_list)
+            or not all(map(same_module, theorem2.ctx.category.summands, gp_list))):
         raise InvalidInput("the Theorem-2 report is not on this list and bound")
     rep = gorenstein or is_gorenstein(a, bound)
     if not rep.gorenstein:
@@ -137,15 +137,15 @@ def relative_auslander(a: Algebra, gp_list: List[Module], bound: int, *,
             raise HypothesesNotSatisfied(
                 f"list entry {i} is not Gorenstein-projective")
     ctx = (theorem2.ctx if theorem2 is not None
-           else endomorphism_algebra(sum_module(gp_list), summands=gp_list))
+           else endomorphism_algebra(AddCategory(gp_list)))
     pair = _isomorphic_pair(ctx)
     if pair is not None:
         raise HypothesesNotSatisfied(
             f"list entries {pair[0]} and {pair[1]} are not certified pairwise "
             "non-isomorphic")
-    # the listed copy of A, whose Hom spaces to the list B's block table holds
-    listed_a = next((g for g in gp_list if same_module(g, reg)), reg)
-    if not add_membership(listed_a, AddCategory(gp_list), blocks=ctx.blocks):
+    # the listed copy of A, whose Hom spaces to the list are the category's blocks
+    listed_a = next((g for g in ctx.category.summands if same_module(g, reg)), reg)
+    if not add_membership(listed_a, ctx.category):
         raise HypothesesNotSatisfied(
             "the projective indecomposables are not all represented in the list")
     gldim_b = theorem2.gldim_b if theorem2 is not None else gl_dim(ctx.b, bound)

@@ -196,8 +196,7 @@ def _perp(arg: _Args, b: int) -> dict:
 
 
 def _endo(arg: _Args, b: int) -> dict:
-    cat = arg.category()
-    ctx = endomorphism_algebra(cat.sum_module(), summands=cat.summands)
+    ctx = endomorphism_algebra(arg.category())
     return {"dim_b": ctx.b.dim, "radical_rank": int(ctx.b.radical.shape[0])}
 
 

@@ -107,10 +107,13 @@ def _top_generators(x: Module) -> List[Tuple[int, np.ndarray]]:
             hit = np.flatnonzero(resid.any(axis=1))
             if not hit.size:
                 break
-            u = cands[hit[0]]
+            u, rank = cands[hit[0]], len(piv)
             gens.append((v, u))
             span, piv = linalg.rref(np.vstack([span, linalg.mat_mul(x.action, u, p)]), p)
             span = span[:len(piv)]
+            if len(piv) == rank:  # u ∉ S but A·u ⊆ S: unit·u ≠ u
+                raise InvalidInput("the action is not a representation: "
+                                   "the unit does not act as the identity")
     return gens
 
 

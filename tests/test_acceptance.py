@@ -180,7 +180,7 @@ def test_criterion_02_auslander_algebra_bound():
     a = dual_numbers(2)
     k = simple_modules(a)[0]
     m = [regular_module(a), k]
-    ctx = endomorphism_algebra(direct_sum(m).module, summands=m)
+    ctx = endomorphism_algebra(AddCategory(m))
     ok = gl_dim(ctx.b, 10) == 2
     _verdict(2, "endomorphism algebra of A+k has global dimension exactly 2", ok)
 
@@ -240,7 +240,7 @@ def test_criterion_06_hom_dims_preserved():
     k = simple_modules(a)[0]
     reg = regular_module(a)
     m = [reg, k]
-    ctx = endomorphism_algebra(direct_sum(m).module, summands=m)
+    ctx = endomorphism_algebra(AddCategory(m))
     tests = [reg, k, direct_sum([reg, k]).module, direct_sum([k, k]).module]
     images = [hom_functor(ctx, x) for x in tests]
     ok = all(len(hom_basis(x, y)) == len(hom_basis(fx, fy))

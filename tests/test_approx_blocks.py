@@ -3,10 +3,10 @@
 The earlier right_approximation, _factor_through and add_membership, which
 solved Hom(M_j, M_0) for the lifting check and Hom(x, M_0) for the section,
 are kept below as oracles: the approximation map, its pieces and piece_homs,
-the verdict and the section must equal theirs bit for bit.  B's block table
-must serve a summand exactly as solving its blocks afresh does, a spy counts
-the Hom solves left under a suite, and a frontier child checks that
-add-membership over k[x]/(x^6) fits in 1 GB.
+the verdict and the section must equal theirs bit for bit.  The blocks that
+an AddCategory keeps must serve a summand exactly as solving them afresh
+does, a spy counts the Hom solves left under a suite and over one category,
+and a frontier child checks that add-membership over k[x]/(x^6) fits in 1 GB.
 """
 
 import json
@@ -14,7 +14,7 @@ import os
 import subprocess
 import sys
 import traceback
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -32,10 +32,10 @@ from homres.approx import (
     right_approximation,
 )
 from homres.cli import main
-from homres.endo import endomorphism_algebra
+from homres.endo import endomorphism_algebra, verify_theorem2
 from homres.errors import InternalError, InvalidInput
 from homres.modules import (
-    HomSpace, Module, ModuleMap, hom_basis, identity_map, same_module, sum_module,
+    Module, ModuleMap, hom_basis, identity_map, same_module, sum_module,
 )
 
 from test_approx import _lifting_holds, _lifts
@@ -113,11 +113,6 @@ def _assert_same_membership(got, want):
         assert same_module(got.section.target, want.section.target)
 
 
-def _table(summands):
-    """blocks[i][j] = HomSpace(M_i, M_j), the table EndoContext keeps."""
-    return [[HomSpace(m, y) for y in summands] for m in summands]
-
-
 def _bundled(name, p, seed):
     """The bundled modules of a workspace's base algebra, each in a random basis."""
     ws = _workspace_at(name, p)
@@ -127,12 +122,15 @@ def _bundled(name, p, seed):
             if m.algebra is a]
 
 
-def _check_case(x, summands, blocks):
-    """Membership, and with it the approximation, with and without the table."""
+def _check_case(x, summands):
+    """Membership, and with it the approximation, on a fresh category and on
+    the same category again once all its blocks are filled."""
     c = AddCategory(summands)
     want = _add_membership_oracle(x, c)
     _assert_same_membership(add_membership(x, c), want)
-    _assert_same_membership(add_membership(x, c, blocks=blocks), want)
+    for i, j in product(range(len(summands)), repeat=2):
+        c.hom(i, j)
+    _assert_same_membership(add_membership(x, c), want)
 
 
 # -- the sweep: every bundled module against every summand subset ----------------
@@ -145,10 +143,9 @@ def test_blocks_match_the_oracle_on_every_bundled_case(name, p):
         mods = _bundled(name, p, seed)
         for size in range(1, len(mods) + 1):
             for summands in map(list, combinations(mods, size)):
-                blocks = _table(summands)
                 for x in mods:
                     # x is a summand object here exactly when the subset holds it
-                    _check_case(x, summands, blocks)
+                    _check_case(x, summands)
 
 
 @settings(max_examples=40, deadline=None)
@@ -158,39 +155,21 @@ def test_blocks_match_the_oracle_on_every_bundled_case(name, p):
 def test_blocks_match_the_oracle_after_a_change_of_basis(name, p, pick, subset, seed):
     mods = _bundled(name, p, seed)
     summands = [m for i, m in enumerate(mods) if subset >> (i % 6) & 1] or mods[:1]
-    blocks = _table(summands)
     # a summand, a conjugate of it (not the same object), and their sum
     x = summands[pick % len(summands)]
     twin = _random_conjugate(x, np.random.default_rng(seed + 1))
     for y in (x, twin, sum_module([x, twin])):
-        _check_case(y, summands, blocks)
+        _check_case(y, summands)
 
 
 def test_blocks_of_b_serve_the_summands():
-    # the table endomorphism_algebra keeps is the one the spot checks read
+    # the blocks endomorphism_algebra solved are the ones the spot checks read
     ws = _workspace_at("kx3", 3)
     summands = [ws.modules[n] for n in ws.suite["summands"]]
-    ctx = endomorphism_algebra(sum_module(summands), summands=summands)
     c = AddCategory(summands)
+    endomorphism_algebra(c)
     for x in summands:
-        _assert_same_membership(add_membership(x, c, blocks=ctx.blocks),
-                                _add_membership_oracle(x, c))
-
-
-def test_a_mismatched_block_table_is_refused():
-    mods = _bundled("a2-hereditary", 3, 0)
-    dims = sorted({m.dim for m in mods})
-    summands = [next(m for m in mods if m.dim == d) for d in dims[:2]]
-    assert summands[0].dim != summands[1].dim
-    c = AddCategory(summands)
-    blocks = _table(summands)
-    transposed = [list(row) for row in zip(*blocks)]
-    for bad in (blocks[:1], [row[:1] for row in blocks], transposed,
-                _table(summands[::-1])):
-        with pytest.raises(InvalidInput, match="block table"):
-            add_membership(summands[0], c, blocks=bad)
-        with pytest.raises(InvalidInput, match="block table"):
-            right_approximation(summands[0], c, blocks=bad)
+        _assert_same_membership(add_membership(x, c), _add_membership_oracle(x, c))
 
 
 def test_every_piece_is_witnessed():
@@ -234,26 +213,68 @@ def test_a_corrupted_source_action_is_not_witnessed():
 # -- what is left to solve -------------------------------------------------------
 
 
-def test_a_suite_solves_no_hom_space_in_the_approximation_layer(tmp_path, capsys,
-                                                                  monkeypatch):
-    # the spot checks and the projectives check read B's blocks (28 Hom
-    # solves from approx.py per kx3 suite at p = 3 before they did)
+def _spy_hom_solves(monkeypatch, record):
+    """Replace hom_basis throughout homres by a spy that appends record() to
+    the list it returns."""
     real, calls = modules.hom_basis, []
 
     def spy(x, y):
-        calls.append(any(frame.filename.endswith(os.path.join("homres", "approx.py"))
-                         for frame in traceback.extract_stack()))
+        calls.append(record())
         return real(x, y)
 
     for mod in list(sys.modules.values()):
         if (getattr(mod, "__name__", "").startswith("homres")
                 and getattr(mod, "hom_basis", None) is real):
             monkeypatch.setattr(mod, "hom_basis", spy)
+    return calls
+
+
+def test_a_suite_solves_no_hom_space_in_the_approximation_layer(tmp_path, capsys,
+                                                                  monkeypatch):
+    # the spot checks and the projectives check read the blocks B solved (28
+    # Hom solves from approx.py per kx3 suite at p = 3 before they did); the
+    # category's own solves, made for B, run in approx.py too, so only the
+    # solves under an approximation or a membership test count
+    def in_approximation():
+        return any(frame.filename.endswith(os.path.join("homres", "approx.py"))
+                   and frame.name in ("right_approximation", "add_membership")
+                   for frame in traceback.extract_stack())
+
+    calls = _spy_hom_solves(monkeypatch, in_approximation)
     path = tmp_path / "kx3-3.json"
     path.write_text(json.dumps(_doc("kx3", 3), sort_keys=True))
     assert main(["suite", "--workspace", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["all_green"]
     assert calls and not any(calls)
+
+
+def test_a_summand_reads_hom_of_itself_once(monkeypatch):
+    # k ∈ add(A ⊕ k): Hom(A, k), Hom(k, k) and Hom(k, A); Hom(k, k) serves
+    # the approximation and the section alike
+    ws = _workspace_at("kx2", 3)
+    reg, k = ws.modules["reg"], ws.modules["k"]
+    c = AddCategory([reg, k])
+    calls = _spy_hom_solves(monkeypatch, lambda: None)
+    assert add_membership(k, c)
+    assert len(calls) == 3
+
+
+def test_a_category_solves_each_block_once(monkeypatch):
+    ws = _workspace_at("kx3", 3)
+    summands = [ws.modules[n] for n in ws.suite["summands"]]
+    c = AddCategory(summands)
+    endomorphism_algebra(c)
+    calls = _spy_hom_solves(monkeypatch, lambda: None)
+    assert all(add_membership(x, c) for x in summands)
+    endomorphism_algebra(c)
+    assert calls == []
+
+
+def test_theorem2_keeps_the_category_it_was_given():
+    ws = _workspace_at("kx2", 3)
+    c = AddCategory([ws.modules["reg"], ws.modules["k"]])
+    rep = verify_theorem2(ws.algebras["A"], ws.modules["reg"], c, 2)
+    assert rep.verdict and rep.ctx.category is c
 
 
 # add-membership of the six uniserial k[x]/(x^6)-modules and of their sum at

@@ -21,6 +21,7 @@ from homres.algebra import (
     Algebra, QuiverPresentation, _ideal_closure_step, _row_basis,
     from_quiver, quotient_algebra, validate_algebra, validate_radical,
 )
+from homres.approx import AddCategory
 from homres.endo import endomorphism_algebra
 from homres.errors import InvalidInput
 from homres.modules import (
@@ -191,7 +192,7 @@ def _source_modules(kind, key, p):
         return [regular_module(a)] + simple_modules(a)
     ws = _workspace_at(key, p)
     summands = [ws.modules[n] for n in ws.suite["summands"]]
-    b = endomorphism_algebra(direct_sum(summands).module, summands=summands).b
+    b = endomorphism_algebra(AddCategory(summands)).b
     return [regular_module(b)] + simple_modules(b)
 
 

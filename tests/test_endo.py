@@ -20,8 +20,8 @@ from homres.endo import (
 )
 from homres.errors import HypothesesNotSatisfied
 from homres.modules import (
-    Module, ModuleMap, direct_sum, hom_basis, is_isomorphic, regular_module,
-    simple_modules, validate_module, zero_module,
+    Module, ModuleMap, _vertex_projectives, direct_sum, hom_basis, is_isomorphic,
+    regular_module, simple_modules, validate_module, zero_module,
 )
 from homres.resolutions import EXCEEDS_BOUND, gl_dim, inj_dim, is_projective
 
@@ -39,10 +39,10 @@ def kx3_truncations(a):
 
 def test_endo_of_regular_is_opposite():
     a = two_vertex_line(5)
-    ctx = endomorphism_algebra(regular_module(a))
+    # _AA = A·e_0 ⊕ A·e_1, declared by its vertex projectives
+    ctx = endomorphism_algebra(AddCategory([m for _, m in _vertex_projectives(a)]))
     assert ctx.b.dim == a.dim
     # End(_AA) ≅ A^op: same regular representation dimensions and gl.dim
-    # (p = 5 > dim 3 so B's radical comes from the trace form)
     assert gl_dim(ctx.b, 5) == gl_dim(opposite(a), 5)
 
 
@@ -50,7 +50,7 @@ def test_endo_dim_five_and_radical():
     a = dual_numbers(2)
     reg = regular_module(a)
     k = simple_modules(a)[0]
-    ctx = endomorphism_algebra(direct_sum([reg, k]).module, summands=[reg, k])
+    ctx = endomorphism_algebra(AddCategory([reg, k]))
     assert ctx.b.dim == 5
     assert ctx.b.radical.shape[0] == 3  # x·End(A), Hom(A,k), Hom(k,A)
     assert len(simple_modules(ctx.b)) == 2
@@ -59,7 +59,7 @@ def test_endo_dim_five_and_radical():
 def test_endo_of_simple_is_field():
     a = dual_numbers(2)
     k = simple_modules(a)[0]
-    ctx = endomorphism_algebra(k)
+    ctx = endomorphism_algebra(AddCategory([k]))
     assert ctx.b.dim == 1
 
 
@@ -68,7 +68,7 @@ def test_hom_functor_regular_and_zero():
     reg = regular_module(a)
     k = simple_modules(a)[0]
     m = direct_sum([reg, k]).module
-    ctx = endomorphism_algebra(m, summands=[reg, k])
+    ctx = endomorphism_algebra(AddCategory([reg, k]))
     bb = hom_functor(ctx, m)
     validate_module(bb)
     assert is_isomorphic(bb, regular_module(ctx.b)) is True
@@ -80,7 +80,7 @@ def test_hom_functor_sends_summands_to_projectives():
     a = dual_numbers(2)
     reg = regular_module(a)
     k = simple_modules(a)[0]
-    ctx = endomorphism_algebra(direct_sum([reg, k]).module, summands=[reg, k])
+    ctx = endomorphism_algebra(AddCategory([reg, k]))
     for s in (reg, k):
         assert is_projective(hom_functor(ctx, s))
 
@@ -89,7 +89,7 @@ def test_hom_functor_fully_faithful_on_generator():
     a = dual_numbers(2)
     reg = regular_module(a)
     k = simple_modules(a)[0]
-    ctx = endomorphism_algebra(direct_sum([reg, k]).module, summands=[reg, k])
+    ctx = endomorphism_algebra(AddCategory([reg, k]))
     for x in (reg, k):
         for y in (reg, k):
             fx, fy = hom_functor(ctx, x), hom_functor(ctx, y)
@@ -100,7 +100,7 @@ def test_hom_functor_map_functorial():
     a = dual_numbers(2)
     reg = regular_module(a)
     k = simple_modules(a)[0]
-    ctx = endomorphism_algebra(direct_sum([reg, k]).module, summands=[reg, k])
+    ctx = endomorphism_algebra(AddCategory([reg, k]))
     ident = hom_functor_map(ctx, ModuleMap(reg, reg, linalg.identity(2)))
     assert np.array_equal(ident.matrix, linalg.identity(ident.source.dim))
     aug = ModuleMap(reg, k, [[1, 0]])
@@ -113,7 +113,7 @@ def test_hom_functor_map_functorial():
     # of k cannot factor through A.  Rank computations confirm both.
     faug = hom_functor_map(ctx, aug)
     assert linalg.rank(faug.matrix, 2) == 1 < faug.target.dim
-    from homres.approx import AddCategory, right_approximation
+    from homres.approx import right_approximation
     approx = right_approximation(k, AddCategory([reg, k]))
     fapprox = hom_functor_map(ctx, approx.map)
     assert linalg.rank(fapprox.matrix, 2) == fapprox.target.dim

@@ -37,10 +37,10 @@ from homres.endo import (
     EndoContext, _not_local, _summand_blocks, endomorphism_algebra, hom_functor,
     hom_functor_map,
 )
-from homres.errors import HypothesesNotSatisfied, InvalidInput
+from homres.errors import HypothesesNotSatisfied
 from homres.modules import (
     HomSpace, ModuleMap, _local_radical, _solve_joint, _sum_hom_space, identity_map,
-    module_image, same_module, sum_module,
+    module_image,
 )
 from homres.resolutions import _cover_strategy, ext_dims, projective_resolution
 
@@ -164,38 +164,29 @@ def _radical_from_blocks(radicals: List[np.ndarray], dims: List[int], end: HomSp
     return radical
 
 
-def _endomorphism_algebra_oracle(m, summands=None):
-    if m.dim == 0:
-        raise InvalidInput("endomorphism algebra of the zero module is not supported")
+def _endomorphism_algebra_oracle(c):
+    m, summands = c.sum_module(), c.summands
     p = m.p
-    radical = idempotents = blocks = None
-    if summands is None:
-        end = HomSpace(m, m)
-    else:
-        if not same_module(sum_module(summands), m):
-            raise InvalidInput("declared summands do not sum to the module on the nose")
-        blocks = [[HomSpace(x, y) for y in summands] for x in summands]
-        end = _sum_hom_space(m, m, blocks)
-        # refuses a summand that is not local before the table below is built
-        radicals = [_local_radical(row[i]) for i, row in enumerate(blocks)]
-        if any(rad is None for rad in radicals):
-            raise _not_local()
-        offs = np.cumsum([0] + [x.dim for x in summands])
-        # ι_j∘π_j: the identity of block (j, j)
-        ident = np.zeros((len(summands), m.dim, m.dim), dtype=np.int64)
-        for j, x in enumerate(summands):
-            ident[j, offs[j]:offs[j + 1], offs[j]:offs[j + 1]] = linalg.identity(x.dim)
-        idempotents = end.coords(ident)
+    blocks = [[HomSpace(x, y) for y in summands] for x in summands]
+    end = _sum_hom_space(m, m, blocks)
+    # refuses a summand that is not local before the table below is built
+    radicals = [_local_radical(row[i]) for i, row in enumerate(blocks)]
+    if any(rad is None for rad in radicals):
+        raise _not_local()
+    offs = np.cumsum([0] + [x.dim for x in summands])
+    # ι_j∘π_j: the identity of block (j, j)
+    ident = np.zeros((len(summands), m.dim, m.dim), dtype=np.int64)
+    for j, x in enumerate(summands):
+        ident[j, offs[j]:offs[j + 1], offs[j]:offs[j + 1]] = linalg.identity(x.dim)
+    idempotents = end.coords(ident)
     # mult[i, j] = coordinates of f_j ∘ f_i
     mult = end.coords(linalg.mat_mul(end.stacked[None, :], end.stacked[:, None], p))
-    if summands is not None:
-        radical = _radical_from_blocks(radicals, [x.dim for x in summands], end, mult)
+    radical = _radical_from_blocks(radicals, [x.dim for x in summands], end, mult)
     unit = end.coords(linalg.identity(m.dim))
     b = Algebra(p=p, dim=len(end), mult=mult, unit=unit, radical=radical,
                 idempotents=idempotents)
-    validate_algebra(b)  # also validates rad B when it was derived
-    return EndoContext(m=m, b=b, basis_maps=end.basis, summands=summands,
-                       blocks=blocks)
+    validate_algebra(b)  # also validates rad B
+    return EndoContext(category=c, m=m, b=b, basis_maps=end.basis)
 
 
 def _hom_functor_action_oracle(ctx, x):
@@ -214,13 +205,15 @@ def _hom_functor_map_oracle(ctx, f):
     return mat
 
 
-def _add_membership_oracle(x, c, blocks=None):
+def _add_membership_oracle(x, c):
+    # on a category of its own, so that the blocks of c are left as they are
+    c = AddCategory(c.summands)
     if x.dim == 0:
         return Membership(True)
-    approx = right_approximation(x, c, blocks)
+    approx = right_approximation(x, c)
     # Hom(x, M_j) of the summand each piece copies
     out = {id(m): space for m, space in
-           zip(c.summands, _summand_homs(x, c, blocks, into=False))}
+           zip(c.summands, _summand_homs(x, c, into=False))}
     spaces = [out[id(m)] for m in approx.pieces]
     cells = x.dim * x.dim
     cols = np.concatenate([linalg.zeros(0, cells)] + [
@@ -338,22 +331,16 @@ def check_complex(x, y, c):
 
 
 def check_b_and_hom_functor(summands, modules_, c):
-    m = sum_module(summands)
-    for declared in (summands, None):
-        got = endomorphism_algebra(m, summands=declared)
-        want = _endomorphism_algebra_oracle(m, summands=declared)
-        for field in ("mult", "unit"):
-            _assert_same_bits(getattr(got.b, field), getattr(want.b, field))
-        for field in ("radical", "idempotents"):
-            if getattr(want.b, field) is None:
-                assert getattr(got.b, field) is None
-            else:
-                _assert_same_bits(getattr(got.b, field), getattr(want.b, field))
-        # the stack case of compose, on its own
-        end = HomSpace(m, m) if declared is None else _sum_hom_space(m, m, got.blocks)
-        _assert_same_bits(end.compose(right=end.stacked[:, None]),
-                          linalg.mat_mul(end.stacked[None, :], end.stacked[:, None], m.p))
-    ctx = got
+    ctx = endomorphism_algebra(AddCategory(summands))
+    want = _endomorphism_algebra_oracle(AddCategory(summands))
+    for field in ("mult", "unit", "radical", "idempotents"):
+        _assert_same_bits(getattr(ctx.b, field), getattr(want.b, field))
+    # the stack case of compose, on its own
+    m, n = ctx.m, len(summands)
+    end = _sum_hom_space(m, m, [[ctx.category.hom(i, j) for j in range(n)]
+                                for i in range(n)])
+    _assert_same_bits(end.compose(right=end.stacked[:, None]),
+                      linalg.mat_mul(end.stacked[None, :], end.stacked[:, None], m.p))
     for x in modules_:
         _assert_same_bits(hom_functor(ctx, x).action, _hom_functor_action_oracle(ctx, x))
         f = right_approximation(x, c).map

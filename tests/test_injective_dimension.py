@@ -4,8 +4,8 @@ _ext_scan_inj_dim is the earlier implementation, kept verbatim as the
 oracle: it resolves every simple module and asks for Ext^i(S, t) = 0 over a
 window of degrees.  The two must agree, value or exception type, on random
 changes of basis of modules over quiver algebras, their opposites, B =
-(End ⊕ summands)^op with and without declared summands, and trace-form
-table copies that carry no idempotents.
+(End ⊕ summands)^op and a bare copy of B's table, and trace-form table
+copies that carry no idempotents.
 """
 
 import functools
@@ -16,9 +16,10 @@ from hypothesis import given, settings, strategies as st
 
 from homres import modules, resolutions
 from homres.algebra import Algebra, from_table, opposite
+from homres.approx import AddCategory
 from homres.endo import endomorphism_algebra
 from homres.errors import HomresError
-from homres.modules import Module, direct_sum, dual_module, regular_module, simple_modules
+from homres.modules import Module, dual_module, regular_module, simple_modules
 from homres.resolutions import EXCEEDS_BOUND, ext_dims, inj_dim
 
 from test_algebra import dual_numbers, truncated_cubic, two_vertex_line
@@ -78,8 +79,10 @@ def _modules(kind, name, p):
         bare = Algebra(p=p, dim=a.dim, mult=a.mult, unit=a.unit)
         return _with_regulars_and_duals([Module(bare, x.dim, x.action) for x in mods], bare)
     summands = [ws.modules[n] for n in ws.suite["summands"]]
-    m = direct_sum(summands).module
-    b = endomorphism_algebra(m, summands=summands if kind == "b-declared" else None).b
+    b = endomorphism_algebra(AddCategory(summands)).b
+    if kind == "b-bare":
+        # B's table alone: no radical and no idempotents
+        b = Algebra(p=b.p, dim=b.dim, mult=b.mult, unit=b.unit)
     return _with_regulars_and_duals([], b)
 
 

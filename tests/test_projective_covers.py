@@ -6,14 +6,20 @@ ones (Schanuel), on random changes of basis of the bundled modules and of the
 simple modules of B = (End ⊕ summands)^op.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import homres
 from homres import linalg
 from homres.algebra import (
     Algebra, QuiverPresentation, from_quiver, from_table, opposite, validate_algebra,
 )
+from homres.approx import AddCategory
 from homres.endo import endomorphism_algebra
 from homres.errors import InvalidInput, UnsupportedField
 from homres.modules import (
@@ -139,7 +145,7 @@ def test_non_basic_endomorphism_algebra():
     ws = load_workspace(bundled_workspace_path("kx3"))
     k, reg, v2 = (ws.modules[n] for n in ("k", "reg", "v2"))
     summands = [k, k, reg, v2]
-    b = endomorphism_algebra(sum_module(summands), summands=summands).b
+    b = endomorphism_algebra(AddCategory(summands)).b
     assert len(b.idempotents) == 4
     assert gl_dim(b, 10) == 2
     (s,) = [s for s in simple_modules(b) if s.dim == 2]
@@ -156,7 +162,7 @@ def test_cover_of_a_field_extension_is_one_copy():
     gf4 = from_table(2, 2, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1),
                             (1, 1, 1, 1)], [1, 0], radical=[])
     a = regular_module(gf4)
-    b = endomorphism_algebra(a, summands=[a]).b
+    b = endomorphism_algebra(AddCategory([a])).b
     reg = regular_module(b)
     assert free_cover(reg).source.dim == 4
     assert projective_cover(reg).source.dim == 2
@@ -168,7 +174,7 @@ def test_decomposable_declared_summand_is_refused():
     reg, k = regular_module(a), simple_modules(a)[0]
     kk = sum_module([k, k])
     with pytest.raises(InvalidInput, match="End ring is not local"):
-        endomorphism_algebra(sum_module([reg, kk]), summands=[reg, kk])
+        endomorphism_algebra(AddCategory([reg, kk]))
 
 
 def test_quiver_with_loops_and_two_vertices():
@@ -202,3 +208,33 @@ def test_dimension_functions_resolve_minimally_where_they_can(monkeypatch):
     table = from_table(5, 2, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)], [1, 0])
     assert resolutions.gl_dim(table, 2) is EXCEEDS_BOUND
     assert seen and set(seen) == {"evaluation"}
+
+
+# over GF(2)[x]/(x^2), e acting as [[0, 1], [0, 0]] and x as 0: the unit does
+# not act as the identity, so u = (1, 0) lies outside A·u = 0
+_NOT_A_REPRESENTATION = """
+import numpy as np
+from homres.algebra import QuiverPresentation, from_quiver
+from homres.errors import InvalidInput
+from homres.modules import Module
+from homres.resolutions import _top_generators
+
+a = from_quiver(QuiverPresentation(vertices=1, arrows=[(0, 0)], relations=[(0, 0)]), 2)
+action = np.zeros((2, 2, 2), dtype=np.int64)
+action[0, 0, 1] = 1
+try:
+    _top_generators(Module(a, 2, action))
+except InvalidInput as e:
+    print(e)
+"""
+
+
+def test_top_generators_refuse_an_action_that_is_not_a_representation():
+    # a regression loops without end; the child's timeout fails the test instead
+    src = os.path.dirname(os.path.dirname(os.path.abspath(homres.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _NOT_A_REPRESENTATION],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ("the action is not a representation: "
+                                   "the unit does not act as the identity")

@@ -19,10 +19,10 @@ from homres import linalg
 from homres.algebra import (
     Algebra, _jacobson_radical, from_table, radical_basis, validate_algebra,
 )
+from homres.approx import AddCategory
 from homres.cli import main
 from homres.endo import endomorphism_algebra
 from homres.errors import InvalidInput
-from homres.modules import sum_module
 from homres.workspace import bundled_workspace_path, parse_workspace
 
 from test_endo_blocks import skew_dual_numbers, uniserial
@@ -165,8 +165,7 @@ _ORACLE_SOURCES = {
     "M2": lambda p: matrix_units(p, 2),
     "skew": lambda p: bare(skew_dual_numbers(p)),
     # B of k[x]/(x^3), dim 14
-    "B": lambda p: bare(endomorphism_algebra(sum_module(uniserial(3, p)[1]),
-                                             summands=uniserial(3, p)[1]).b),
+    "B": lambda p: bare(endomorphism_algebra(AddCategory(uniserial(3, p)[1])).b),
 }
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from homres import linalg
 from homres.algebra import Algebra, from_table
+from homres.approx import AddCategory
 from homres.endo import endomorphism_algebra
 from homres.errors import InvalidInput
 from homres.modules import (
@@ -211,7 +212,7 @@ def _b_simples(name, p):
     """The simple modules of B = (End ⊕ summands)^op for a bundled suite."""
     ws = _workspace_at(name, p)
     summands = [ws.modules[n] for n in ws.suite["summands"]]
-    ctx = endomorphism_algebra(direct_sum(summands).module, summands=summands)
+    ctx = endomorphism_algebra(AddCategory(summands))
     return simple_modules(ctx.b)
 
 

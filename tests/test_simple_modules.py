@@ -20,6 +20,7 @@ from homres.algebra import (
     Algebra, QuiverPresentation, _not_rad_a, from_quiver, from_table, opposite,
     quotient_algebra, radical_basis,
 )
+from homres.approx import AddCategory
 from homres.endo import endomorphism_algebra
 from homres.errors import SearchExhausted
 from homres.modules import (
@@ -136,7 +137,7 @@ def non_basic_b(p):
     two of them with the same 2-dimensional top."""
     a = dual_numbers(p)
     reg, k = regular_module(a), simple_modules(a)[0]
-    return endomorphism_algebra(sum_module([reg, k, k]), summands=[reg, k, k]).b
+    return endomorphism_algebra(AddCategory([reg, k, k])).b
 
 
 def _tops(b):
@@ -238,7 +239,7 @@ def test_gl_dim_of_b_is_decided_at_large_primes(p):
     assert gl_dim(b, 10) == 2
     assert time.perf_counter() - start < 1
     reg = regular_module(skew_dual_numbers(p))
-    b = endomorphism_algebra(reg, summands=[reg]).b
+    b = endomorphism_algebra(AddCategory([reg])).b
     assert gl_dim(b, 10) == EXCEEDS_BOUND
 
 
